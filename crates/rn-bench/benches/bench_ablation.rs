@@ -3,14 +3,17 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rn_experiments::experiments::ablation;
-use rn_experiments::{ExperimentConfig, GraphFamily};
+use rn_experiments::SweepSpec;
 use rn_graph::algorithms::ReductionOrder;
+use rn_graph::generators::TopologyFamily;
 use rn_labeling::lambda;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("a1_reduction_order");
     group.sample_size(15);
-    let g = GraphFamily::GnpSparse.generate(256, 1);
+    let g = TopologyFamily::GnpAvgDegree { avg_degree: 10.0 }
+        .generate(256, 1)
+        .unwrap();
     for (name, order) in [
         ("forward", ReductionOrder::Forward),
         ("reverse", ReductionOrder::Reverse),
@@ -22,11 +25,7 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
-    let cfg = ExperimentConfig {
-        sizes: vec![16, 48],
-        seeds: vec![1],
-        threads: rn_radio::batch::default_threads(),
-    };
+    let cfg = SweepSpec::new("bench").sizes(&[16, 48]).seeds(&[1]);
     for t in ablation::run(&cfg) {
         println!("\n{t}");
     }

@@ -5,13 +5,14 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rn_broadcast::session::{Scheme, Session};
 use rn_experiments::experiments::baseline_comparison;
-use rn_experiments::{ExperimentConfig, GraphFamily};
+use rn_experiments::SweepSpec;
+use rn_graph::generators::TopologyFamily;
 use std::sync::Arc;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e9_baseline_comparison");
     group.sample_size(10);
-    let g = Arc::new(GraphFamily::Grid.generate(100, 1));
+    let g = Arc::new(TopologyFamily::Grid.generate(100, 1).unwrap());
     for (name, scheme) in [
         ("lambda", Scheme::Lambda),
         ("unique_ids", Scheme::UniqueIds),
@@ -31,11 +32,7 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
-    let cfg = ExperimentConfig {
-        sizes: vec![16, 64],
-        seeds: vec![1],
-        threads: rn_radio::batch::default_threads(),
-    };
+    let cfg = SweepSpec::new("bench").sizes(&[16, 64]).seeds(&[1]);
     println!("\n{}", baseline_comparison::run(&cfg));
 }
 

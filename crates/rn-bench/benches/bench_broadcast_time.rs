@@ -5,17 +5,23 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rn_broadcast::session::{Scheme, Session};
-use rn_experiments::experiments::broadcast_time;
-use rn_experiments::{ExperimentConfig, GraphFamily};
+use rn_experiments::experiments::{broadcast_time, family_label};
+use rn_experiments::SweepSpec;
+use rn_graph::generators::TopologyFamily;
 use std::sync::Arc;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e2_broadcast_time");
     group.sample_size(15);
-    for family in [GraphFamily::Path, GraphFamily::Grid, GraphFamily::GnpSparse] {
+    for family in [
+        TopologyFamily::Path,
+        TopologyFamily::Grid,
+        TopologyFamily::GnpAvgDegree { avg_degree: 10.0 },
+    ] {
         for n in [64usize, 256] {
-            let g = Arc::new(family.generate(n, 1));
-            let full_id = BenchmarkId::new(format!("{}_full", family.name()), g.node_count());
+            let g = Arc::new(family.generate(n, 1).unwrap());
+            let full_id =
+                BenchmarkId::new(format!("{}_full", family_label(family)), g.node_count());
             group.bench_with_input(full_id, &g, |b, g| {
                 b.iter(|| {
                     std::hint::black_box(
@@ -31,8 +37,10 @@ fn bench(c: &mut Criterion) {
                 .message(7)
                 .build()
                 .unwrap();
-            let amortized_id =
-                BenchmarkId::new(format!("{}_amortized", family.name()), g.node_count());
+            let amortized_id = BenchmarkId::new(
+                format!("{}_amortized", family_label(family)),
+                g.node_count(),
+            );
             group.bench_with_input(amortized_id, &session, |b, s| {
                 b.iter(|| std::hint::black_box(s.run()));
             });
@@ -40,11 +48,7 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
-    let cfg = ExperimentConfig {
-        sizes: vec![16, 64, 256],
-        seeds: vec![1],
-        threads: rn_radio::batch::default_threads(),
-    };
+    let cfg = SweepSpec::new("bench").sizes(&[16, 64, 256]).seeds(&[1]);
     println!("\n{}", broadcast_time::run(&cfg));
 }
 

@@ -4,13 +4,14 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rn_broadcast::common_round::run_common_round;
 use rn_experiments::experiments::common_round;
-use rn_experiments::{ExperimentConfig, GraphFamily};
+use rn_experiments::SweepSpec;
+use rn_graph::generators::TopologyFamily;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e10_common_round");
     group.sample_size(15);
-    for family in [GraphFamily::Path, GraphFamily::Grid] {
-        let g = family.generate(64, 1);
+    for family in [TopologyFamily::Path, TopologyFamily::Grid] {
+        let g = family.generate(64, 1).unwrap();
         let id = BenchmarkId::new(family.name(), g.node_count());
         group.bench_with_input(id, &g, |b, g| {
             b.iter(|| std::hint::black_box(run_common_round(g, 0, 7).unwrap()));
@@ -18,11 +19,7 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
-    let cfg = ExperimentConfig {
-        sizes: vec![16, 64],
-        seeds: vec![1],
-        threads: rn_radio::batch::default_threads(),
-    };
+    let cfg = SweepSpec::new("bench").sizes(&[16, 64]).seeds(&[1]);
     println!("\n{}", common_round::run(&cfg));
 }
 

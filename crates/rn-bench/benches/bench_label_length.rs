@@ -3,13 +3,16 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rn_experiments::experiments::label_length;
-use rn_experiments::{ExperimentConfig, GraphFamily};
+use rn_experiments::SweepSpec;
+use rn_graph::generators::TopologyFamily;
 use rn_labeling::scheme::{LabelingScheme, SchemeKind};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e4_label_length");
     group.sample_size(20);
-    let g = GraphFamily::GnpSparse.generate(256, 1);
+    let g = TopologyFamily::GnpAvgDegree { avg_degree: 10.0 }
+        .generate(256, 1)
+        .unwrap();
     for scheme in SchemeKind::ALL {
         let id = BenchmarkId::new(scheme.name(), g.node_count());
         group.bench_with_input(id, &g, |b, g| {
@@ -18,11 +21,7 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
-    let cfg = ExperimentConfig {
-        sizes: vec![16, 64, 256],
-        seeds: vec![1],
-        threads: rn_radio::batch::default_threads(),
-    };
+    let cfg = SweepSpec::new("bench").sizes(&[16, 64, 256]).seeds(&[1]);
     println!("\n{}", label_length::run(&cfg));
 }
 

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rn_broadcast::session::{Scheme, Session};
 use rn_experiments::experiments::onebit;
-use rn_experiments::ExperimentConfig;
+use rn_experiments::SweepSpec;
 use rn_graph::generators;
 use std::sync::Arc;
 
@@ -41,11 +41,7 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
-    let cfg = ExperimentConfig {
-        sizes: vec![16, 36, 64],
-        seeds: vec![1],
-        threads: rn_radio::batch::default_threads(),
-    };
+    let cfg = SweepSpec::new("bench").sizes(&[16, 36, 64]).seeds(&[1]);
     for t in onebit::run(&cfg) {
         println!("\n{t}");
     }

@@ -3,14 +3,17 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rn_experiments::experiments::scheme_cost;
-use rn_experiments::{ExperimentConfig, GraphFamily};
+use rn_experiments::SweepSpec;
+use rn_graph::generators::TopologyFamily;
 use rn_labeling::{lambda, lambda_ack, lambda_arb};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e8_scheme_construction");
     group.sample_size(15);
     for n in [64usize, 256, 1024] {
-        let g = GraphFamily::GnpSparse.generate(n, 1);
+        let g = TopologyFamily::GnpAvgDegree { avg_degree: 10.0 }
+            .generate(n, 1)
+            .unwrap();
         group.bench_with_input(BenchmarkId::new("lambda", n), &g, |b, g| {
             b.iter(|| std::hint::black_box(lambda::construct(g, 0).unwrap()));
         });
@@ -23,11 +26,7 @@ fn bench(c: &mut Criterion) {
     }
     group.finish();
 
-    let cfg = ExperimentConfig {
-        sizes: vec![64, 256],
-        seeds: vec![1],
-        threads: rn_radio::batch::default_threads(),
-    };
+    let cfg = SweepSpec::new("bench").sizes(&[64, 256]).seeds(&[1]);
     println!("\n{}", scheme_cost::run(&cfg));
 }
 

@@ -1,10 +1,5 @@
-//! The unified execution API: one builder, one report, reusable schemes,
+//! The execution API: one builder, one report, reusable schemes,
 //! batch-parallel runs.
-//!
-//! Historically each algorithm had its own ad-hoc runner (`run_broadcast`,
-//! `run_acknowledged_broadcast`, `run_arbitrary_source`, …) that re-built the
-//! labeling scheme and cloned the graph on every call and returned its own
-//! result struct. [`Session`] replaces all of them:
 //!
 //! * a [`Scheme`] selects the labeling scheme / algorithm pair — the paper's
 //!   λ, λ_ack and λ_arb, the 1-bit delay-relay schemes for cycles and grids,
@@ -16,8 +11,7 @@
 //!   owns the labeling and a template of per-node protocol state machines, so
 //!   repeated runs amortize scheme construction — the dominant pattern in the
 //!   experiment sweeps and benches;
-//! * every run returns the same [`RunReport`], a superset of the three legacy
-//!   result structs;
+//! * every run returns the same [`RunReport`], whichever scheme executed;
 //! * [`Session::run_batch`] fans independent runs out over the scoped worker
 //!   threads of [`rn_radio::batch`], returning reports in spec order;
 //! * every run borrows its simulator's per-round working buffers
@@ -28,7 +22,7 @@
 //!   frontier engine) for equivalence checking.
 //!
 //! ```
-//! use rn_broadcast::session::{Scheme, Session};
+//! use rn_broadcast::session::{RunSpec, Scheme, Session};
 //! use rn_graph::generators;
 //! use std::sync::Arc;
 //!
@@ -43,7 +37,7 @@
 //! assert_eq!(report.label_length, 2); // the 2-bit λ labels of Theorem 2.9
 //!
 //! // The cached labeling is reused: only the simulation repeats.
-//! let again = session.run_with_message(12).unwrap();
+//! let again = session.run_with(RunSpec::new(7, 12)).unwrap();
 //! assert_eq!(again.completion_round, report.completion_round);
 //! ```
 
@@ -314,14 +308,14 @@ pub enum StopPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TracePolicy {
     /// Record the trace and derive [`RunReport::informed_rounds`] and the
-    /// full [`ExecutionStats`] from it (the default, and what the legacy
-    /// runners did).
+    /// full [`ExecutionStats`] from it (the default).
     #[default]
     Recorded,
     /// Skip trace recording (saves memory and time on large batch runs).
     /// Informed rounds are then tracked from node state after each round —
     /// identical for every scheme in this crate — and the statistics carry
-    /// only the round count.
+    /// only the round count, whether or not the run is instrumented (the
+    /// counters of [`Session::run_instrumented`] stay in its `RunMetrics`).
     Disabled,
 }
 
@@ -356,8 +350,9 @@ impl RunSpec {
     }
 }
 
-/// The unified result of one session run: a superset of the legacy
-/// `BroadcastResult` / `AckBroadcastResult` / `ArbBroadcastResult`.
+/// The unified result of one session run, for every scheme: the fields a
+/// scheme does not produce (an ack round, a coordinator, per-message
+/// completion) stay `None`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Name of the labeling scheme used.
@@ -491,8 +486,7 @@ impl std::fmt::Display for RunReport {
 /// Builder for a [`Session`].
 ///
 /// Defaults: source 0, coordinator 0 (λ_arb only), message 1, and the `Auto`
-/// stop, `Recorded` trace and `Auto` round-cap policies — which together
-/// reproduce the behaviour of the legacy `run_*` functions exactly.
+/// stop, `Recorded` trace and `Auto` round-cap policies.
 ///
 /// ```
 /// use rn_broadcast::session::{RoundCapPolicy, Scheme, Session, TracePolicy};
@@ -517,9 +511,8 @@ pub struct SessionBuilder {
     /// Explicit multi-broadcast sources; empty means "derive from the
     /// scheme's `k` by spreading over the node range".
     sources: Vec<NodeId>,
-    /// `None` resolves to the scheme default at build time: 0 for λ_arb
-    /// (the historical default), the BFS-forest centre of the sources for
-    /// `multi_lambda`.
+    /// `None` resolves to the scheme default at build time: 0 for λ_arb,
+    /// the BFS-forest centre of the sources for `multi_lambda`.
     coordinator: Option<NodeId>,
     message: SourceMessage,
     stop: StopPolicy,
@@ -809,10 +802,12 @@ impl Session {
         }
     }
 
-    /// Runs the session with its configured source and message.
+    /// Runs the session with its configured source and message: exactly
+    /// [`run_with`](Self::run_with) on the session's own spec, which always
+    /// reuses the cached labeling and so cannot fail.
     pub fn run(&self) -> RunReport {
-        self.execute(&self.prepared, self.source, self.message, false, None)
-            .0
+        self.run_with(self.own_spec())
+            .expect("the session's own spec runs on its cached labeling")
     }
 
     /// Runs the session with its configured source and message, with full
@@ -829,21 +824,13 @@ impl Session {
     /// nondeterministic and live only in the `RunMetrics` block, so callers
     /// that persist reports stay byte-identical with telemetry on.
     pub fn run_instrumented(&self) -> (RunReport, RunMetrics) {
-        let mut metrics = RunMetrics {
-            spans: self.build_spans.clone(),
-            ..RunMetrics::default()
-        };
-        let report = self
-            .execute(
-                &self.prepared,
-                self.source,
-                self.message,
-                false,
-                Some(&mut metrics),
-            )
-            .0;
-        metrics.peak_rss_kb = rn_telemetry::peak_rss_kb();
-        (report, metrics)
+        self.run_with_instrumented(self.own_spec())
+            .expect("the session's own spec runs on its cached labeling")
+    }
+
+    /// The session's configured source and message as a [`RunSpec`].
+    fn own_spec(&self) -> RunSpec {
+        RunSpec::new(self.source, self.message)
     }
 
     /// Runs the session with its configured source and message and also
@@ -948,44 +935,16 @@ impl Session {
         rn_radio::audit_wake_hints(&mut sim, cap)
     }
 
-    /// Runs with the session's source but a different message. The cached
-    /// labeling is always reused (labels never depend on µ).
-    pub fn run_with_message(&self, message: SourceMessage) -> Result<RunReport, LabelingError> {
-        self.run_with(RunSpec::new(self.source, message))
-    }
-
     /// Runs an arbitrary spec.
     ///
     /// For source-independent schemes (λ_arb, the baselines) any source
     /// executes against the cached labeling. For source-dependent schemes a
     /// spec with a different source constructs a fresh labeling for that
     /// source (the documented cost of moving the source); specs with the
-    /// session's own source always reuse the cache.
+    /// session's own source always reuse the cache, and a new message never
+    /// relabels (labels never depend on µ).
     pub fn run_with(&self, spec: RunSpec) -> Result<RunReport, LabelingError> {
-        if spec.source >= self.graph.node_count() {
-            return Err(LabelingError::SourceOutOfRange {
-                source: spec.source,
-                node_count: self.graph.node_count(),
-            });
-        }
-        if spec.source == self.source || !self.scheme.labeling_depends_on_source() {
-            Ok(self
-                .execute(&self.prepared, spec.source, spec.message, false, None)
-                .0)
-        } else {
-            let prepared = prepare(
-                self.scheme,
-                &self.graph,
-                spec.source,
-                &self.sources,
-                self.coordinator,
-                spec.message,
-                &mut Vec::new(),
-            )?;
-            Ok(self
-                .execute(&prepared, spec.source, spec.message, false, None)
-                .0)
-        }
+        self.run_spec(spec, None)
     }
 
     /// Runs an arbitrary spec with full telemetry, mirroring
@@ -1005,46 +964,53 @@ impl Session {
         &self,
         spec: RunSpec,
     ) -> Result<(RunReport, RunMetrics), LabelingError> {
-        if spec.source >= self.graph.node_count() {
+        let mut metrics = RunMetrics::default();
+        let report = self.run_spec(spec, Some(&mut metrics))?;
+        metrics.peak_rss_kb = rn_telemetry::peak_rss_kb();
+        Ok((report, metrics))
+    }
+
+    /// The spec path behind every run entry point: checks the source range,
+    /// then executes against the cached labeling or, for a source-dependent
+    /// scheme moved to a new source, a fresh one. An instrumented run's
+    /// spans start with the build phases of whichever labeling it used.
+    fn run_spec(
+        &self,
+        spec: RunSpec,
+        mut metrics: Option<&mut RunMetrics>,
+    ) -> Result<RunReport, LabelingError> {
+        let node_count = self.graph.node_count();
+        if spec.source >= node_count {
             return Err(LabelingError::SourceOutOfRange {
                 source: spec.source,
-                node_count: self.graph.node_count(),
+                node_count,
             });
         }
-        let mut metrics = RunMetrics::default();
-        let report = if spec.source == self.source || !self.scheme.labeling_depends_on_source() {
-            metrics.spans = self.build_spans.clone();
-            self.execute(
-                &self.prepared,
-                spec.source,
-                spec.message,
-                false,
-                Some(&mut metrics),
-            )
-            .0
+        let fresh;
+        let prepared = if spec.source == self.source || !self.scheme.labeling_depends_on_source() {
+            if let Some(m) = metrics.as_deref_mut() {
+                m.spans = self.build_spans.clone();
+            }
+            &self.prepared
         } else {
-            let mut fresh_spans = Vec::new();
-            let prepared = prepare(
+            let mut spans = Vec::new();
+            fresh = prepare(
                 self.scheme,
                 &self.graph,
                 spec.source,
                 &self.sources,
                 self.coordinator,
                 spec.message,
-                &mut fresh_spans,
+                &mut spans,
             )?;
-            metrics.spans = fresh_spans;
-            self.execute(
-                &prepared,
-                spec.source,
-                spec.message,
-                false,
-                Some(&mut metrics),
-            )
-            .0
+            if let Some(m) = metrics.as_deref_mut() {
+                m.spans = spans;
+            }
+            &fresh
         };
-        metrics.peak_rss_kb = rn_telemetry::peak_rss_kb();
-        Ok((report, metrics))
+        Ok(self
+            .execute(prepared, spec.source, spec.message, false, metrics)
+            .0)
     }
 
     /// Runs every spec, fanning the independent simulations out over up to
@@ -1221,8 +1187,7 @@ impl Session {
                     );
                 counters = run.counters;
                 // B_arb relays µ inside several message kinds, so informed
-                // rounds come from node state rather than a payload pattern
-                // (the legacy runner did not report them at all).
+                // rounds come from node state rather than a payload pattern.
                 run.fill_from_nodes(&mut report);
                 report.completion_round = completion;
                 report.common_knowledge_round = common_knowledge;
@@ -1732,9 +1697,9 @@ impl<'g, N: RadioNode> Execution<'g, N> {
 
 impl<N: RadioNode> Finished<N> {
     /// Fills the trace-derived report fields. With a recorded trace the
-    /// informed rounds come from the trace through the same payload predicate
-    /// the legacy runners used; without one they come from the online node
-    /// state, and the statistics carry only the round count.
+    /// informed rounds come from the trace through the scheme's payload
+    /// predicate; without one they come from the online node state, and the
+    /// statistics carry only the round count.
     fn fill(&self, report: &mut RunReport, record: bool, is_payload: impl Fn(&N::Msg) -> bool) {
         if record {
             report.informed_rounds = verify::first_payload_rounds(
@@ -1763,17 +1728,13 @@ impl<N: RadioNode> Finished<N> {
         report.rounds_executed = self.rounds_executed;
     }
 
-    /// Statistics for a run executed without a trace: the full counter-backed
-    /// set when the run was instrumented (the counters are a byte-exact
-    /// substitute for the trace walk), a bare round count otherwise —
-    /// exactly what trace-off runs have always reported.
+    /// Statistics for a run executed without a trace: the bare round count,
+    /// instrumented or not, so a metrics sink never changes a report (its
+    /// counters reach the caller through `RunMetrics` instead).
     fn traceless_stats(&self) -> ExecutionStats {
-        match &self.counters {
-            Some(c) => ExecutionStats::from_counters(c),
-            None => ExecutionStats {
-                rounds: self.rounds_executed,
-                ..ExecutionStats::default()
-            },
+        ExecutionStats {
+            rounds: self.rounds_executed,
+            ..ExecutionStats::default()
         }
     }
 }
@@ -1822,7 +1783,7 @@ mod tests {
     }
 
     #[test]
-    fn traceless_instrumented_runs_carry_full_counter_backed_stats() {
+    fn traceless_instrumented_runs_report_plainly_and_count_fully() {
         let g = Arc::new(generators::grid(4, 5));
         for engine in [
             Engine::ListenerCentric,
@@ -1830,7 +1791,7 @@ mod tests {
             Engine::EventDriven,
         ] {
             // Run-to-cap leaves a long quiet tail after completion, which
-            // the event engine elides with tracing off — so the stats
+            // the event engine elides with tracing off — so the counter
             // comparison below also pins elided-span accounting against the
             // trace walk of the recorded run.
             let build = |trace: TracePolicy| {
@@ -1841,14 +1802,22 @@ mod tests {
                     .build()
                     .unwrap()
             };
-            let (recorded, _) = build(TracePolicy::Recorded).run_instrumented();
-            let (traceless, metrics) = build(TracePolicy::Disabled).run_instrumented();
-            // With a sink installed, a trace-off run recovers the full
-            // statistics from the counters instead of a bare round count.
-            assert_eq!(traceless.stats, recorded.stats, "{engine:?}");
+            let traced = build(TracePolicy::Recorded).run();
+            let session = build(TracePolicy::Disabled);
+            let plain = session.run();
+            let (instrumented, metrics) = session.run_instrumented();
+            // The sink never changes the report, stats included...
+            assert_eq!(instrumented, plain, "{engine:?}");
+            // ...while its counters carry the full statistics a trace walk
+            // derives.
+            let counters = metrics.counters.expect("sink installed");
+            assert_eq!(
+                ExecutionStats::from_counters(&counters),
+                traced.stats,
+                "{engine:?}"
+            );
             // No trace, no cross-check.
             assert_eq!(metrics.counters_match_trace, None, "{engine:?}");
-            let counters = metrics.counters.expect("sink installed");
             if engine == Engine::EventDriven {
                 assert!(
                     counters.elided_rounds > 0,
@@ -2315,7 +2284,7 @@ mod tests {
         // The per-run source is irrelevant to a multi run: the source set is
         // fixed at build time.
         assert_eq!(a, b);
-        let c = session.run_with_message(900).unwrap();
+        let c = session.run_with(RunSpec::new(0, 900)).unwrap();
         assert_eq!(a.completion_round, c.completion_round);
         assert_ne!(a.message, c.message);
     }
@@ -2435,7 +2404,7 @@ mod tests {
         let b = session.run_with(RunSpec::new(5, 1)).unwrap();
         assert!(std::ptr::eq(labeling, session.labeling()));
         assert_eq!(a, b, "the source set is fixed: every node");
-        let c = session.run_with_message(900).unwrap();
+        let c = session.run_with(RunSpec::new(0, 900)).unwrap();
         assert_eq!(a.completion_round, c.completion_round);
         assert_ne!(a.message, c.message);
     }

@@ -10,7 +10,7 @@
 //! ```
 
 use rn_experiments::experiments::{run_all, run_by_id, EXPERIMENT_IDS};
-use rn_experiments::ExperimentConfig;
+use rn_experiments::SweepSpec;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -26,15 +26,17 @@ fn main() {
         return;
     }
 
-    let quick = args.iter().any(|a| a == "--quick");
-    let config = if quick {
-        ExperimentConfig {
-            sizes: vec![8, 16, 32, 64],
-            seeds: vec![1, 2],
-            threads: rn_radio::batch::default_threads(),
-        }
+    // Sizes and seeds of every sweeping experiment; the worker count
+    // resolves per batch (`RN_THREADS` overrides it) and never changes a
+    // table.
+    let config = if args.iter().any(|a| a == "--quick") {
+        SweepSpec::new("repro")
+            .sizes(&[8, 16, 32, 64])
+            .seeds(&[1, 2])
     } else {
-        ExperimentConfig::full()
+        SweepSpec::new("repro")
+            .sizes(&[8, 16, 32, 64, 128, 256, 512])
+            .seeds(&[1, 2, 3, 4, 5])
     };
 
     let requested: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();

@@ -9,10 +9,9 @@
 //!   it changes χ(G²)'s greedy approximation and hence the baseline's label
 //!   length.
 
+use super::{family_label, measure, CORE_FAMILIES};
 use crate::report::{fmt_bool, Table};
-use crate::sweep::run_sweep;
-use crate::workloads::GraphFamily;
-use crate::ExperimentConfig;
+use crate::SweepSpec;
 use rn_broadcast::algo_b::BNode;
 use rn_broadcast::verify;
 use rn_graph::algorithms::coloring::ColoringOrder;
@@ -34,7 +33,7 @@ const COLOR_ORDERS: [(&str, ColoringOrder); 3] = [
 ];
 
 /// Runs both ablations.
-pub fn run(config: &ExperimentConfig) -> Vec<Table> {
+pub fn run(config: &SweepSpec) -> Vec<Table> {
     vec![reduction_order(config), coloring_order(config)]
 }
 
@@ -61,12 +60,20 @@ fn broadcast_rounds_with_order(
     (completion, within)
 }
 
-fn reduction_order(config: &ExperimentConfig) -> Table {
-    let points = run_sweep(&GraphFamily::CORE, config, |g, source, _w| {
-        ORDERS
-            .iter()
-            .map(|(_, o)| broadcast_rounds_with_order(g, source, *o))
-            .collect::<Vec<_>>()
+fn reduction_order(config: &SweepSpec) -> Table {
+    let rows = measure(config, &CORE_FAMILIES, |instance| {
+        let mut row = vec![
+            family_label(instance.family).to_string(),
+            instance.graph.node_count().to_string(),
+        ];
+        let mut all_within = true;
+        for (_, order) in ORDERS {
+            let (completion, within) = broadcast_rounds_with_order(&instance.graph, 0, order);
+            row.push(completion.map_or("-".into(), |c| c.to_string()));
+            all_within &= within;
+        }
+        row.push(fmt_bool(all_within));
+        row
     });
 
     let mut headers: Vec<String> = vec!["family".into(), "n".into()];
@@ -79,30 +86,26 @@ fn reduction_order(config: &ExperimentConfig) -> Table {
         "A1a: dominating-set reduction order ablation (algorithm B completion round)",
         &header_refs,
     );
-    for p in &points {
-        let mut row = vec![p.workload.family.name().to_string(), p.actual_n.to_string()];
-        let mut all_within = true;
-        for (completion, within) in &p.result {
-            row.push(completion.map_or("-".into(), |c| c.to_string()));
-            all_within &= *within;
-        }
-        row.push(fmt_bool(all_within));
+    for row in rows {
         table.push_row(row);
     }
     table.push_note("any minimal dominating subset is valid; the order only shifts the schedule");
     table
 }
 
-fn coloring_order(config: &ExperimentConfig) -> Table {
-    let points = run_sweep(&GraphFamily::CORE, config, |g, _source, _w| {
-        COLOR_ORDERS
-            .iter()
-            .map(|(_, o)| {
-                let (labeling, k) =
-                    baselines::square_coloring_with_order(g, *o).expect("connected workload");
-                (k, labeling.length())
-            })
-            .collect::<Vec<_>>()
+fn coloring_order(config: &SweepSpec) -> Table {
+    let rows = measure(config, &CORE_FAMILIES, |instance| {
+        let mut row = vec![
+            family_label(instance.family).to_string(),
+            instance.graph.node_count().to_string(),
+        ];
+        for (_, order) in COLOR_ORDERS {
+            let (labeling, k) = baselines::square_coloring_with_order(&instance.graph, order)
+                .expect("connected workload");
+            row.push(k.to_string());
+            row.push(labeling.length().to_string());
+        }
+        row
     });
 
     let mut headers: Vec<String> = vec!["family".into(), "n".into()];
@@ -115,12 +118,7 @@ fn coloring_order(config: &ExperimentConfig) -> Table {
         "A1b: greedy colouring order ablation for the square-colouring baseline",
         &header_refs,
     );
-    for p in &points {
-        let mut row = vec![p.workload.family.name().to_string(), p.actual_n.to_string()];
-        for (k, bits) in &p.result {
-            row.push(k.to_string());
-            row.push(bits.to_string());
-        }
+    for row in rows {
         table.push_row(row);
     }
     table.push_note("fewer colours means shorter baseline labels; the greedy order matters, the paper's schemes are unaffected");
@@ -130,27 +128,18 @@ fn coloring_order(config: &ExperimentConfig) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::test_config;
 
     #[test]
     fn reduction_order_always_within_bound() {
-        let cfg = ExperimentConfig {
-            sizes: vec![10, 18],
-            seeds: vec![1],
-            threads: 1,
-        };
-        let tables = run(&cfg);
+        let tables = run(&test_config(&[10, 18], &[1]));
         assert_eq!(tables.len(), 2);
         assert!(!tables[0].render().contains("NO"));
     }
 
     #[test]
     fn coloring_table_has_all_orders() {
-        let cfg = ExperimentConfig {
-            sizes: vec![12],
-            seeds: vec![1],
-            threads: 1,
-        };
-        let tables = run(&cfg);
+        let tables = run(&test_config(&[12], &[1]));
         assert!(tables[1].headers.len() == 2 + 2 * COLOR_ORDERS.len());
     }
 }

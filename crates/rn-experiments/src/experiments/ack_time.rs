@@ -2,41 +2,39 @@
 //! by some round `t ≤ 2n − 3` and the source receives an "ack" by a round in
 //! `{t + 1, …, t + n − 2}`.
 
+use super::{family_label, measure, ALL_FAMILIES};
 use crate::report::{fmt_bool, fmt_opt, Table};
-use crate::sweep::run_sweep;
-use crate::workloads::GraphFamily;
-use crate::ExperimentConfig;
+use crate::SweepSpec;
 use rn_broadcast::session::{Scheme, Session};
 use std::sync::Arc;
 
-/// Measurement for one sweep point.
-#[derive(Debug, Clone, Copy)]
-pub struct Point {
-    /// Actual node count.
-    pub n: usize,
-    /// Measured completion round t.
-    pub completion: Option<u64>,
-    /// Round in which the source first heard an "ack".
-    pub ack_round: Option<u64>,
-    /// Largest message transmitted, in bits (the O(log n) round tag).
-    pub max_message_bits: usize,
-}
-
 /// Runs the sweep and renders the table.
-pub fn run(config: &ExperimentConfig) -> Table {
-    let points = run_sweep(&GraphFamily::ALL, config, |g, source, _w| {
-        let r = Session::builder(Scheme::LambdaAck, Arc::clone(g))
-            .source(source)
+pub fn run(config: &SweepSpec) -> Table {
+    let rows = measure(config, &ALL_FAMILIES, |instance| {
+        let r = Session::builder(Scheme::LambdaAck, Arc::clone(&instance.graph))
             .message(7)
             .build()
             .expect("connected workload")
             .run();
-        Point {
-            n: g.node_count(),
-            completion: r.completion_round,
-            ack_round: r.ack_round,
-            max_message_bits: r.stats.max_message_bits,
-        }
+        let n = r.node_count as u64;
+        let delay = match (r.completion_round, r.ack_round) {
+            (Some(t), Some(ta)) => Some(ta - t),
+            _ => None,
+        };
+        let ok = match (r.completion_round, r.ack_round) {
+            (Some(t), Some(ta)) => ta > t && ta <= t + (n - 1),
+            _ => false,
+        };
+        vec![
+            family_label(instance.family).to_string(),
+            n.to_string(),
+            fmt_opt(r.completion_round),
+            fmt_opt(r.ack_round),
+            fmt_opt(delay),
+            (n - 1).to_string(),
+            r.stats.max_message_bits.to_string(),
+            fmt_bool(ok),
+        ]
     });
 
     let mut table = Table::new(
@@ -52,26 +50,8 @@ pub fn run(config: &ExperimentConfig) -> Table {
             "within window",
         ],
     );
-    for p in &points {
-        let n = p.result.n as u64;
-        let ok = match (p.result.completion, p.result.ack_round) {
-            (Some(t), Some(ta)) => ta > t && ta <= t + (n - 1),
-            _ => false,
-        };
-        let delay = match (p.result.completion, p.result.ack_round) {
-            (Some(t), Some(ta)) => Some(ta - t),
-            _ => None,
-        };
-        table.push_row(vec![
-            p.workload.family.name().to_string(),
-            n.to_string(),
-            fmt_opt(p.result.completion),
-            fmt_opt(p.result.ack_round),
-            fmt_opt(delay),
-            (n - 1).to_string(),
-            p.result.max_message_bits.to_string(),
-            fmt_bool(ok),
-        ]);
+    for row in rows {
+        table.push_row(row);
     }
     table.push_note(
         "the ack arrives strictly after completion and within n-1 rounds (Corollary 3.8's 3l-4; \
@@ -85,22 +65,18 @@ pub fn run(config: &ExperimentConfig) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{small_config, test_config};
 
     #[test]
     fn all_points_within_window() {
-        let t = run(&ExperimentConfig::small());
+        let t = run(&small_config());
         assert!(t.row_count() > 0);
         assert!(!t.render().contains("NO"));
     }
 
     #[test]
     fn message_bits_grow_slowly() {
-        let cfg = ExperimentConfig {
-            sizes: vec![8, 64],
-            seeds: vec![1],
-            threads: 1,
-        };
-        let t = run(&cfg);
+        let t = run(&test_config(&[8, 64], &[1]));
         // Compare the path rows at n = 8 and n = 64: message size grows by a
         // few bits, not by a factor of 8.
         let bits: Vec<usize> = t

@@ -3,45 +3,28 @@
 //! broadcast — and lets every node know it completed — for every possible
 //! source position.
 
+use super::{family_label, measure, CORE_FAMILIES};
 use crate::report::{fmt_bool, fmt_opt, Table};
-use crate::sweep::run_sweep;
-use crate::workloads::GraphFamily;
-use crate::ExperimentConfig;
+use crate::SweepSpec;
 use rn_broadcast::session::{RunSpec, Scheme, Session};
 use std::sync::Arc;
 
-/// Measurement for one sweep point: the worst case over several source
-/// positions.
-#[derive(Debug, Clone, Copy)]
-pub struct Point {
-    /// Actual node count.
-    pub n: usize,
-    /// Number of source positions tried.
-    pub sources_tried: usize,
-    /// Whether broadcast (and the completion guarantee) succeeded for all of
-    /// them.
-    pub all_succeeded: bool,
-    /// Worst completion round over the tried sources.
-    pub worst_completion: Option<u64>,
-    /// Worst common-knowledge round over the tried sources.
-    pub worst_common_knowledge: Option<u64>,
-}
-
-/// Runs the sweep and renders the table.
-pub fn run(config: &ExperimentConfig) -> Table {
+/// Runs the sweep and renders the table: per family and size, the worst
+/// case over several source positions.
+pub fn run(config: &SweepSpec) -> Table {
     // B_arb runs three phases and is the slowest algorithm in the repository,
     // so sweep the compact family set and a handful of source positions.
-    let points = run_sweep(&GraphFamily::CORE, config, |g, _default_source, w| {
-        let n = g.node_count();
+    let rows = measure(config, &CORE_FAMILIES, |instance| {
+        let n = instance.graph.node_count();
         // λ_arb labels are source-independent, so one session serves every
         // source position against the same cached labeling.
-        let session = Session::builder(Scheme::LambdaArb, Arc::clone(g))
+        let session = Session::builder(Scheme::LambdaArb, Arc::clone(&instance.graph))
             .coordinator(0)
             .build()
             .expect("connected workload");
         let specs: Vec<RunSpec> = [0, n / 3, n / 2, n - 1]
             .into_iter()
-            .map(|s| RunSpec::new(s, 7 + w.seed))
+            .map(|s| RunSpec::new(s, 7 + instance.seed))
             .collect();
         let mut all_ok = true;
         let mut worst_completion = Some(0u64);
@@ -58,13 +41,16 @@ pub fn run(config: &ExperimentConfig) -> Table {
                 _ => None,
             };
         }
-        Point {
-            n,
-            sources_tried: specs.len(),
-            all_succeeded: all_ok,
-            worst_completion,
-            worst_common_knowledge: worst_ck,
-        }
+        let per_n = worst_ck.map_or_else(|| "-".into(), |c| format!("{:.2}", c as f64 / n as f64));
+        vec![
+            family_label(instance.family).to_string(),
+            n.to_string(),
+            specs.len().to_string(),
+            fmt_opt(worst_completion),
+            fmt_opt(worst_ck),
+            per_n,
+            fmt_bool(all_ok),
+        ]
     });
 
     let mut table = Table::new(
@@ -79,20 +65,8 @@ pub fn run(config: &ExperimentConfig) -> Table {
             "all succeeded",
         ],
     );
-    for p in &points {
-        let per_n = p.result.worst_common_knowledge.map_or_else(
-            || "-".into(),
-            |c| format!("{:.2}", c as f64 / p.result.n as f64),
-        );
-        table.push_row(vec![
-            p.workload.family.name().to_string(),
-            p.result.n.to_string(),
-            p.result.sources_tried.to_string(),
-            fmt_opt(p.result.worst_completion),
-            fmt_opt(p.result.worst_common_knowledge),
-            per_n,
-            fmt_bool(p.result.all_succeeded),
-        ]);
+    for row in rows {
+        table.push_row(row);
     }
     table.push_note(
         "the three phases cost a constant factor over plain broadcast (rounds per n stays bounded)",
@@ -103,27 +77,18 @@ pub fn run(config: &ExperimentConfig) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::test_config;
 
     #[test]
     fn all_sources_succeed() {
-        let cfg = ExperimentConfig {
-            sizes: vec![8, 14],
-            seeds: vec![1],
-            threads: 1,
-        };
-        let t = run(&cfg);
+        let t = run(&test_config(&[8, 14], &[1]));
         assert!(t.row_count() > 0);
         assert!(!t.render().contains("NO"));
     }
 
     #[test]
     fn rounds_scale_linearly() {
-        let cfg = ExperimentConfig {
-            sizes: vec![12],
-            seeds: vec![1],
-            threads: 1,
-        };
-        let t = run(&cfg);
+        let t = run(&test_config(&[12], &[1]));
         for row in &t.rows {
             let per_n: f64 = row[5].parse().unwrap();
             assert!(

@@ -7,35 +7,18 @@
 //! slot sweep is long (identifiers ~ n slots, colouring ~ χ(G²) slots per
 //! progress step), while λ completes within 2n − 3 rounds with 2-bit labels.
 
+use super::{family_label, measure, CORE_FAMILIES};
 use crate::report::{fmt_f64, fmt_opt, Table};
-use crate::sweep::run_sweep;
-use crate::workloads::GraphFamily;
-use crate::ExperimentConfig;
+use crate::SweepSpec;
 use rn_broadcast::session::{Scheme, Session};
 use std::sync::Arc;
 
-/// Measurement for one sweep point.
-#[derive(Debug, Clone, Copy)]
-pub struct Point {
-    /// Actual node count.
-    pub n: usize,
-    /// Algorithm B completion round.
-    pub lambda_rounds: Option<u64>,
-    /// Unique-identifier round-robin completion round.
-    pub id_rounds: Option<u64>,
-    /// Square-colouring slot completion round.
-    pub coloring_rounds: Option<u64>,
-    /// Label lengths (λ, ids, colouring).
-    pub label_lengths: (usize, usize, usize),
-}
-
 /// Runs the sweep and renders the table.
-pub fn run(config: &ExperimentConfig) -> Table {
-    let points = run_sweep(&GraphFamily::CORE, config, |g, source, _w| {
+pub fn run(config: &SweepSpec) -> Table {
+    let rows = measure(config, &CORE_FAMILIES, |instance| {
         // All three schemes share one graph allocation through the session.
         let run = |scheme| {
-            Session::builder(scheme, Arc::clone(g))
-                .source(source)
+            Session::builder(scheme, Arc::clone(&instance.graph))
                 .message(7)
                 .build()
                 .expect("connected workload")
@@ -44,13 +27,23 @@ pub fn run(config: &ExperimentConfig) -> Table {
         let lambda = run(Scheme::Lambda);
         let ids = run(Scheme::UniqueIds);
         let colors = run(Scheme::SquareColoring);
-        Point {
-            n: g.node_count(),
-            lambda_rounds: lambda.completion_round,
-            id_rounds: ids.completion_round,
-            coloring_rounds: colors.completion_round,
-            label_lengths: (lambda.label_length, ids.label_length, colors.label_length),
-        }
+        let ratio = |a: Option<u64>, b: Option<u64>| match (a, b) {
+            (Some(a), Some(b)) if b > 0 => fmt_f64(a as f64 / b as f64),
+            _ => "-".into(),
+        };
+        vec![
+            family_label(instance.family).to_string(),
+            lambda.node_count.to_string(),
+            fmt_opt(lambda.completion_round),
+            fmt_opt(ids.completion_round),
+            fmt_opt(colors.completion_round),
+            ratio(ids.completion_round, lambda.completion_round),
+            ratio(colors.completion_round, lambda.completion_round),
+            format!(
+                "{}/{}/{}",
+                lambda.label_length, ids.label_length, colors.label_length
+            ),
+        ]
     });
 
     let mut table = Table::new(
@@ -66,25 +59,8 @@ pub fn run(config: &ExperimentConfig) -> Table {
             "label bits (lambda/id/color)",
         ],
     );
-    for p in &points {
-        let r = p.result;
-        let ratio = |a: Option<u64>, b: Option<u64>| match (a, b) {
-            (Some(a), Some(b)) if b > 0 => fmt_f64(a as f64 / b as f64),
-            _ => "-".into(),
-        };
-        table.push_row(vec![
-            p.workload.family.name().to_string(),
-            r.n.to_string(),
-            fmt_opt(r.lambda_rounds),
-            fmt_opt(r.id_rounds),
-            fmt_opt(r.coloring_rounds),
-            ratio(r.id_rounds, r.lambda_rounds),
-            ratio(r.coloring_rounds, r.lambda_rounds),
-            format!(
-                "{}/{}/{}",
-                r.label_lengths.0, r.label_lengths.1, r.label_lengths.2
-            ),
-        ]);
+    for row in rows {
+        table.push_row(row);
     }
     table.push_note(
         "lambda keeps 2-bit labels and the 2n-3 guarantee; the identifier baseline's slot sweep \
@@ -96,10 +72,11 @@ pub fn run(config: &ExperimentConfig) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::small_config;
 
     #[test]
     fn all_three_algorithms_complete() {
-        let t = run(&ExperimentConfig::small());
+        let t = run(&small_config());
         for row in &t.rows {
             assert_ne!(row[2], "-", "lambda must complete: {row:?}");
             assert_ne!(row[3], "-", "ids must complete: {row:?}");
@@ -109,7 +86,7 @@ mod tests {
 
     #[test]
     fn lambda_labels_are_shortest() {
-        let t = run(&ExperimentConfig::small());
+        let t = run(&small_config());
         for row in &t.rows {
             let bits: Vec<usize> = row[7].split('/').map(|x| x.parse().unwrap()).collect();
             assert_eq!(bits[0], 2);

@@ -5,38 +5,31 @@
 //! the measured completion round next to the bound, and flags any violation
 //! (none are expected; the integration tests additionally assert this).
 
+use super::{family_label, measure, ALL_FAMILIES};
 use crate::report::{fmt_bool, fmt_f64, fmt_opt, Table};
-use crate::sweep::run_sweep;
-use crate::workloads::GraphFamily;
-use crate::ExperimentConfig;
+use crate::SweepSpec;
 use rn_broadcast::session::{Scheme, Session};
 use std::sync::Arc;
 
-/// Measurement for one sweep point.
-#[derive(Debug, Clone, Copy)]
-pub struct Point {
-    /// Actual node count.
-    pub n: usize,
-    /// Measured completion round.
-    pub completion: Option<u64>,
-    /// Total transmissions during the execution.
-    pub transmissions: usize,
-}
-
 /// Runs the sweep and renders the table.
-pub fn run(config: &ExperimentConfig) -> Table {
-    let points = run_sweep(&GraphFamily::ALL, config, |g, source, _w| {
-        let r = Session::builder(Scheme::Lambda, Arc::clone(g))
-            .source(source)
+pub fn run(config: &SweepSpec) -> Table {
+    let rows = measure(config, &ALL_FAMILIES, |instance| {
+        let r = Session::builder(Scheme::Lambda, Arc::clone(&instance.graph))
             .message(7)
             .build()
             .expect("connected workload")
             .run();
-        Point {
-            n: g.node_count(),
-            completion: r.completion_round,
-            transmissions: r.stats.transmissions,
-        }
+        let bound = 2 * r.node_count as u64 - 3;
+        let completion = r.completion_round;
+        vec![
+            family_label(instance.family).to_string(),
+            r.node_count.to_string(),
+            fmt_opt(completion),
+            bound.to_string(),
+            completion.map_or("-".to_string(), |c| fmt_f64(c as f64 / bound as f64)),
+            r.stats.transmissions.to_string(),
+            fmt_bool(completion.is_some_and(|c| c <= bound)),
+        ]
     });
 
     let mut table = Table::new(
@@ -51,19 +44,8 @@ pub fn run(config: &ExperimentConfig) -> Table {
             "within bound",
         ],
     );
-    for p in &points {
-        let n = p.result.n;
-        let bound = 2 * n as u64 - 3;
-        let completion = p.result.completion;
-        table.push_row(vec![
-            p.workload.family.name().to_string(),
-            n.to_string(),
-            fmt_opt(completion),
-            bound.to_string(),
-            completion.map_or("-".to_string(), |c| fmt_f64(c as f64 / bound as f64)),
-            p.result.transmissions.to_string(),
-            fmt_bool(completion.is_some_and(|c| c <= bound)),
-        ]);
+    for row in rows {
+        table.push_row(row);
     }
     table.push_note("every row must read `yes`: Theorem 2.9 guarantees completion within 2n-3");
     table
@@ -72,10 +54,11 @@ pub fn run(config: &ExperimentConfig) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{small_config, test_config};
 
     #[test]
     fn all_points_are_within_the_bound() {
-        let t = run(&ExperimentConfig::small());
+        let t = run(&small_config());
         assert!(t.row_count() > 0);
         assert!(!t.render().contains("NO"));
     }
@@ -84,12 +67,7 @@ mod tests {
     fn path_rows_are_close_to_the_bound() {
         // The path from an endpoint is the tightest case: ℓ = n, so the
         // completion round is exactly 2n - 3.
-        let cfg = ExperimentConfig {
-            sizes: vec![16],
-            seeds: vec![1],
-            threads: 1,
-        };
-        let t = run(&cfg);
+        let t = run(&test_config(&[16], &[1]));
         let path_row = t
             .rows
             .iter()

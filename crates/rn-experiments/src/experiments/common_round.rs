@@ -3,16 +3,23 @@
 //! `2m` is a common round in which every node knows the original broadcast
 //! completed.
 
+use super::{family_label, measure, CORE_FAMILIES};
 use crate::report::{fmt_bool, Table};
-use crate::sweep::run_sweep;
-use crate::workloads::GraphFamily;
-use crate::ExperimentConfig;
+use crate::SweepSpec;
 use rn_broadcast::common_round::run_common_round;
 
 /// Runs the sweep and renders the table.
-pub fn run(config: &ExperimentConfig) -> Table {
-    let points = run_sweep(&GraphFamily::CORE, config, |g, source, _w| {
-        run_common_round(g, source, 7).expect("connected workload")
+pub fn run(config: &SweepSpec) -> Table {
+    let rows = measure(config, &CORE_FAMILIES, |instance| {
+        let r = run_common_round(&instance.graph, 0, 7).expect("connected workload");
+        vec![
+            family_label(instance.family).to_string(),
+            instance.graph.node_count().to_string(),
+            r.ack_round.to_string(),
+            r.second_completion_round.to_string(),
+            r.common_round.to_string(),
+            fmt_bool(r.claim_holds),
+        ]
     });
 
     let mut table = Table::new(
@@ -26,16 +33,8 @@ pub fn run(config: &ExperimentConfig) -> Table {
             "claim holds",
         ],
     );
-    for p in &points {
-        let r = &p.result;
-        table.push_row(vec![
-            p.workload.family.name().to_string(),
-            p.actual_n.to_string(),
-            r.ack_round.to_string(),
-            r.second_completion_round.to_string(),
-            r.common_round.to_string(),
-            fmt_bool(r.claim_holds),
-        ]);
+    for row in rows {
+        table.push_row(row);
     }
     table.push_note("claim: every node receives m strictly before round 2m, so 2m is a common known-completion round");
     table
@@ -44,10 +43,11 @@ pub fn run(config: &ExperimentConfig) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::small_config;
 
     #[test]
     fn claim_holds_everywhere() {
-        let t = run(&ExperimentConfig::small());
+        let t = run(&small_config());
         assert!(t.row_count() > 0);
         assert!(!t.render().contains("NO"));
     }

@@ -8,38 +8,27 @@
 //! 4/5/6 distinct labels no matter how large the network grows, while both
 //! baselines grow with Θ(log n) or Θ(log Δ).
 
+use super::{family_label, measure, CORE_FAMILIES};
 use crate::report::Table;
-use crate::sweep::run_sweep;
-use crate::workloads::GraphFamily;
-use crate::ExperimentConfig;
+use crate::SweepSpec;
 use rn_labeling::scheme::{LabelingScheme, SchemeKind};
 
-/// Measurement for one sweep point: per-scheme (length, distinct, total bits).
-#[derive(Debug, Clone)]
-pub struct Point {
-    /// Actual node count.
-    pub n: usize,
-    /// Maximum degree (drives the colouring baseline).
-    pub max_degree: usize,
-    /// One entry per scheme in [`SchemeKind::ALL`].
-    pub per_scheme: Vec<(usize, usize, usize)>,
-}
-
-/// Runs the sweep and renders the table.
-pub fn run(config: &ExperimentConfig) -> Table {
-    let points = run_sweep(&GraphFamily::CORE, config, |g, source, _w| {
-        let per_scheme = SchemeKind::ALL
-            .iter()
-            .map(|s| {
-                let l = s.assign(g, source).expect("connected workload");
-                (l.length(), l.distinct_count(), l.total_bits())
-            })
-            .collect();
-        Point {
-            n: g.node_count(),
-            max_degree: g.max_degree(),
-            per_scheme,
+/// Runs the sweep and renders the table: per family and size, the label
+/// length and distinct-label count of every scheme in [`SchemeKind::ALL`].
+pub fn run(config: &SweepSpec) -> Table {
+    let rows = measure(config, &CORE_FAMILIES, |instance| {
+        let g = &instance.graph;
+        let mut row = vec![
+            family_label(instance.family).to_string(),
+            g.node_count().to_string(),
+            g.max_degree().to_string(),
+        ];
+        for s in SchemeKind::ALL {
+            let l = s.assign(g, 0).expect("connected workload");
+            row.push(l.length().to_string());
+            row.push(l.distinct_count().to_string());
         }
+        row
     });
 
     let mut headers: Vec<String> = vec!["family".into(), "n".into(), "max deg".into()];
@@ -52,16 +41,7 @@ pub fn run(config: &ExperimentConfig) -> Table {
         "E4: label length (bits) and distinct labels per scheme",
         &header_refs,
     );
-    for p in &points {
-        let mut row = vec![
-            p.workload.family.name().to_string(),
-            p.result.n.to_string(),
-            p.result.max_degree.to_string(),
-        ];
-        for (len, distinct, _total) in &p.result.per_scheme {
-            row.push(len.to_string());
-            row.push(distinct.to_string());
-        }
+    for row in rows {
         table.push_row(row);
     }
     table.push_note(
@@ -75,15 +55,11 @@ pub fn run(config: &ExperimentConfig) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{small_config, test_config};
 
     #[test]
     fn constant_vs_growing_lengths() {
-        let cfg = ExperimentConfig {
-            sizes: vec![8, 64],
-            seeds: vec![1],
-            threads: 1,
-        };
-        let t = run(&cfg);
+        let t = run(&test_config(&[8, 64], &[1]));
         // Columns: 3 fixed + 2 per scheme; lambda len is column 3,
         // unique_ids len is column 3 + 2*3 = 9.
         let lambda_lens: Vec<usize> = t.rows.iter().map(|r| r[3].parse().unwrap()).collect();
@@ -97,7 +73,7 @@ mod tests {
 
     #[test]
     fn distinct_label_counts_match_the_paper() {
-        let t = run(&ExperimentConfig::small());
+        let t = run(&small_config());
         for row in &t.rows {
             let lambda_distinct: usize = row[4].parse().unwrap();
             let ack_distinct: usize = row[6].parse().unwrap();

@@ -6,17 +6,17 @@
 //! **every** source position, and reports the completion rounds.
 
 use crate::report::{fmt_bool, Table};
-use crate::ExperimentConfig;
+use crate::SweepSpec;
 use rn_broadcast::session::{RunSpec, Scheme, Session};
 use rn_graph::generators;
 use std::sync::Arc;
 
 /// Runs the cycle and grid sweeps and renders one table per class.
-pub fn run(config: &ExperimentConfig) -> Vec<Table> {
+pub fn run(config: &SweepSpec) -> Vec<Table> {
     vec![cycles(config), grids(config)]
 }
 
-fn cycles(config: &ExperimentConfig) -> Table {
+fn cycles(config: &SweepSpec) -> Table {
     let mut table = Table::new(
         "E6a: one-bit labels on cycles (delay-relay algorithm), all source positions",
         &[
@@ -39,7 +39,7 @@ fn cycles(config: &ExperimentConfig) -> Table {
         let mut worst = 0u64;
         let mut all_ok = true;
         for r in session
-            .run_batch(&specs, config.threads)
+            .run_batch(&specs, config.resolved_threads(specs.len()))
             .expect("sources in range")
         {
             match r.completion_round {
@@ -58,7 +58,7 @@ fn cycles(config: &ExperimentConfig) -> Table {
     table
 }
 
-fn grids(config: &ExperimentConfig) -> Table {
+fn grids(config: &SweepSpec) -> Table {
     let mut table = Table::new(
         "E6b: one-bit labels on grids (delay-relay algorithm), all source positions",
         &[
@@ -81,7 +81,7 @@ fn grids(config: &ExperimentConfig) -> Table {
         let mut worst = 0u64;
         let mut all_ok = true;
         for r in session
-            .run_batch(&specs, config.threads)
+            .run_batch(&specs, config.resolved_threads(specs.len()))
             .expect("sources in range")
         {
             match r.completion_round {
@@ -104,15 +104,11 @@ fn grids(config: &ExperimentConfig) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::test_config;
 
     #[test]
     fn both_classes_complete_everywhere() {
-        let cfg = ExperimentConfig {
-            sizes: vec![6, 9],
-            seeds: vec![1],
-            threads: 1,
-        };
-        for t in run(&cfg) {
+        for t in run(&test_config(&[6, 9], &[1])) {
             assert!(t.row_count() > 0);
             assert!(!t.render().contains("NO"), "{}", t.title);
         }
@@ -120,12 +116,7 @@ mod tests {
 
     #[test]
     fn completion_is_linear_in_n() {
-        let cfg = ExperimentConfig {
-            sizes: vec![16],
-            seeds: vec![1],
-            threads: 1,
-        };
-        let tables = run(&cfg);
+        let tables = run(&test_config(&[16], &[1]));
         let cycle_worst: u64 = tables[0].rows[0][2].parse().unwrap();
         assert!(cycle_worst <= 16 + 2);
     }

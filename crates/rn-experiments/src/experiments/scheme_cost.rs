@@ -6,45 +6,33 @@
 //! sequence of minimal-dominating-set reductions) is cheap enough for the
 //! scenario to be practical.
 
+use super::{family_label, measure, CORE_FAMILIES};
 use crate::report::{fmt_f64, Table};
-use crate::sweep::run_sweep;
-use crate::workloads::GraphFamily;
-use crate::ExperimentConfig;
+use crate::SweepSpec;
 use rn_labeling::scheme::{LabelingScheme, SchemeKind};
 use std::time::Instant;
 
-/// Measurement for one sweep point: per-scheme construction time in
+/// Runs the sweep and renders the table: per family and size, the
+/// construction time of every scheme in [`SchemeKind::ALL`], in
 /// microseconds.
-#[derive(Debug, Clone)]
-pub struct Point {
-    /// Actual node count.
-    pub n: usize,
-    /// Edge count (construction cost scales with it).
-    pub m: usize,
-    /// One entry per scheme in [`SchemeKind::ALL`], in microseconds.
-    pub micros: Vec<f64>,
-}
-
-/// Runs the sweep and renders the table.
-pub fn run(config: &ExperimentConfig) -> Table {
-    let points = run_sweep(&GraphFamily::CORE, config, |g, source, _w| {
-        let micros = SchemeKind::ALL
-            .iter()
-            .map(|s| {
-                let start = Instant::now();
-                let labeling = s.assign(g, source).expect("connected workload");
-                let elapsed = start.elapsed().as_secs_f64() * 1e6;
-                // Keep the labeling alive so the construction is not optimised
-                // away.
-                std::hint::black_box(labeling.length());
-                elapsed
-            })
-            .collect();
-        Point {
-            n: g.node_count(),
-            m: g.edge_count(),
-            micros,
+pub fn run(config: &SweepSpec) -> Table {
+    let rows = measure(config, &CORE_FAMILIES, |instance| {
+        let g = &instance.graph;
+        let mut row = vec![
+            family_label(instance.family).to_string(),
+            g.node_count().to_string(),
+            g.edge_count().to_string(),
+        ];
+        for s in SchemeKind::ALL {
+            let start = Instant::now();
+            let labeling = s.assign(g, 0).expect("connected workload");
+            let elapsed = start.elapsed().as_secs_f64() * 1e6;
+            // Keep the labeling alive so the construction is not optimised
+            // away.
+            std::hint::black_box(labeling.length());
+            row.push(fmt_f64(elapsed));
         }
+        row
     });
 
     let mut headers: Vec<String> = vec!["family".into(), "n".into(), "m".into()];
@@ -56,15 +44,7 @@ pub fn run(config: &ExperimentConfig) -> Table {
         "E8: labeling-scheme construction wall time (microseconds)",
         &header_refs,
     );
-    for p in &points {
-        let mut row = vec![
-            p.workload.family.name().to_string(),
-            p.result.n.to_string(),
-            p.result.m.to_string(),
-        ];
-        for us in &p.result.micros {
-            row.push(fmt_f64(*us));
-        }
+    for row in rows {
         table.push_row(row);
     }
     table.push_note("wall-clock times; exact values vary by machine, the shape (near-linear growth) is what matters");
@@ -74,16 +54,12 @@ pub fn run(config: &ExperimentConfig) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::test_config;
 
     #[test]
     fn produces_one_row_per_point_with_positive_times() {
-        let cfg = ExperimentConfig {
-            sizes: vec![8, 16],
-            seeds: vec![1],
-            threads: 1,
-        };
-        let t = run(&cfg);
-        assert_eq!(t.row_count(), GraphFamily::CORE.len() * 2);
+        let t = run(&test_config(&[8, 16], &[1]));
+        assert_eq!(t.row_count(), CORE_FAMILIES.len() * 2);
         for row in &t.rows {
             for cell in &row[3..] {
                 let v: f64 = cell.parse().unwrap();

@@ -1,18 +1,22 @@
 //! # rn-experiments
 //!
-//! The experiment and scenario harness. Two layers:
+//! The experiment and scenario harness, built on one executor: a
+//! [`scenario::SweepSpec`] names topology families × sizes × seeds (plus
+//! worker threads), and [`SweepSpec::map_instances`] generates every
+//! instance through the `TopologyFamily` registry and measures it in
+//! parallel.
 //!
-//! * **Paper experiments** — each experiment in the DESIGN.md index (E1–E10,
-//!   plus the ablations) has its own module under [`experiments`], producing
-//!   plain-text tables through [`report::Table`]; the `repro` binary runs
-//!   them all.
-//! * **Scenario sweeps** — declarative [`scenario::SweepSpec`]s cross
-//!   topology families × sizes × schemes × seeds through the
-//!   [`Session`](rn_broadcast::session::Session) API and emit
+//! * **Scenario sweeps** — [`SweepSpec::run`] crosses the instances with
+//!   schemes, sources and fault presets through the
+//!   [`Session`](rn_broadcast::session::Session) API and emits
 //!   machine-readable JSON/CSV reports ([`emit`]); the `sweep` binary runs
 //!   the named sweeps.
+//! * **Paper experiments** — each experiment in the DESIGN.md index (E1–E10,
+//!   plus the ablations) has its own module under [`experiments`], taking
+//!   sizes, seeds and threads from a `SweepSpec` and producing plain-text
+//!   tables through [`report::Table`]; the `repro` binary runs them all.
 //!
-//! Everything is deterministic: workloads are generated from explicit seeds
+//! Everything is deterministic: instances are generated from explicit seeds
 //! and parallel sweeps return results in job order, so two runs of `repro`
 //! or `sweep` produce byte-identical reports.
 
@@ -25,58 +29,9 @@ pub mod faults;
 pub mod report;
 pub mod scenario;
 pub mod stats;
-pub mod sweep;
 pub mod telemetry;
-pub mod workloads;
 
 pub use faults::FaultSpec;
 pub use report::Table;
-pub use scenario::{SweepRecord, SweepReport, SweepSpec};
+pub use scenario::{Instance, SweepRecord, SweepReport, SweepSpec};
 pub use telemetry::SweepTelemetry;
-pub use workloads::{GraphFamily, Workload};
-
-/// Configuration shared by the sweep experiments.
-#[derive(Debug, Clone)]
-pub struct ExperimentConfig {
-    /// Graph sizes to sweep over.
-    pub sizes: Vec<usize>,
-    /// Random seeds per size (each seed is one instance for randomised
-    /// families).
-    pub seeds: Vec<u64>,
-    /// Worker threads for the sweep (1 = run inline).
-    pub threads: usize,
-}
-
-impl ExperimentConfig {
-    /// A small configuration used by unit tests and quick smoke runs.
-    pub fn small() -> Self {
-        ExperimentConfig {
-            sizes: vec![8, 16, 24],
-            seeds: vec![1, 2],
-            threads: 1,
-        }
-    }
-
-    /// The full configuration used by the `repro` binary and the benches.
-    pub fn full() -> Self {
-        ExperimentConfig {
-            sizes: vec![8, 16, 32, 64, 128, 256, 512],
-            seeds: vec![1, 2, 3, 4, 5],
-            threads: rn_radio::batch::default_threads(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn configs_are_nonempty() {
-        for cfg in [ExperimentConfig::small(), ExperimentConfig::full()] {
-            assert!(!cfg.sizes.is_empty());
-            assert!(!cfg.seeds.is_empty());
-            assert!(cfg.threads >= 1);
-        }
-    }
-}

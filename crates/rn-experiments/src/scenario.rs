@@ -3,7 +3,7 @@
 //!
 //! A [`SweepSpec`] names the full cross product once; [`SweepSpec::run`]
 //! generates every instance through the [`TopologyFamily`] registry, drives
-//! the runs through [`Session::run_batch`], and collects one flat
+//! the runs through the [`Session`] API, and collects one flat
 //! [`SweepRecord`] per execution — rounds to completion, collision and
 //! transmission counts, label lengths — into a [`SweepReport`] that renders
 //! as an aligned text table ([`SweepReport::summary_table`]) or serialises
@@ -14,6 +14,10 @@
 //! order, and every record carries the family parameters that produced it —
 //! so a report is exactly reproducible from its own metadata, regardless of
 //! the thread count.
+//!
+//! The instance executor itself is public as [`SweepSpec::map_instances`]:
+//! the paper-table experiments measure the same family × size × seed
+//! instances with their own closures.
 //!
 //! The named sweeps ([`named`], [`sweep_names`]) are the repository's
 //! standard workloads; the `sweep` binary exposes them on the command line:
@@ -28,10 +32,9 @@ use crate::telemetry::SweepTelemetry;
 use crate::Table;
 use rn_broadcast::session::{RunReport, RunSpec, Scheme, Session, TracePolicy};
 use rn_graph::generators::TopologyFamily;
-use rn_graph::GraphError;
+use rn_graph::{Graph, GraphError};
 use rn_labeling::LabelingError;
 use rn_radio::Engine;
-use rn_telemetry::RunMetrics;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -59,7 +62,7 @@ pub struct SweepSpec {
     /// without the axis.
     pub faults: Vec<FaultSpec>,
     /// Broadcast sources per instance, spread evenly over the node range;
-    /// the runs of one instance go through [`Session::run_batch`]. Requests
+    /// source-independent schemes run them all through one session. Requests
     /// beyond the instance size collapse to one run per node (see
     /// [`sources_for`](Self::sources_for)).
     pub sources_per_point: usize,
@@ -260,61 +263,18 @@ impl SweepSpec {
         &self,
         telemetry: Option<&SweepTelemetry>,
     ) -> Result<SweepReport, SweepError> {
-        let mut jobs = Vec::with_capacity(self.instance_count());
-        for &family in &self.families {
-            for &n in &self.sizes {
-                for &seed in &self.seeds {
-                    jobs.push((family, n, seed));
-                }
-            }
-        }
-        let schemes = self.schemes.clone();
-        let sources = self.sources_per_point;
-        let trace = if self.record_traces {
-            TracePolicy::Recorded
-        } else {
-            TracePolicy::Disabled
-        };
-        let threads = if self.threads == 0 {
-            rn_radio::batch::default_threads_for(jobs.len())
-        } else {
-            self.threads
-        };
-        let verify = self.verify_static;
-        let fault_specs = if self.faults.is_empty() {
-            vec![FaultSpec::None]
-        } else {
-            self.faults.clone()
-        };
-        let engine = self.engine;
         if let Some(t) = telemetry {
-            t.sweep_start(&self.name, jobs.len(), self.run_count(), engine);
-        }
-        let results = rn_radio::batch::run_parallel(jobs, threads, |(family, n, seed)| {
-            if let Some(t) = telemetry {
-                t.job_start(family.name(), n, seed);
-            }
-            let point = run_point(
-                family,
-                n,
-                seed,
-                &schemes,
-                sources,
-                trace,
-                verify,
-                engine,
-                &fault_specs,
-                telemetry,
+            t.sweep_start(
+                &self.name,
+                self.instance_count(),
+                self.run_count(),
+                self.engine,
             );
-            if let Some(t) = telemetry {
-                t.job_finish(family.name(), n, seed);
-            }
-            point
-        });
+        }
+        let points = self.execute(telemetry, |instance| run_point(self, instance, telemetry))?;
         let mut records = Vec::with_capacity(self.run_count());
         let mut histograms: BTreeMap<&'static str, BTreeMap<usize, u64>> = BTreeMap::new();
-        for result in results {
-            let point = result?;
+        for point in points {
             for (scheme_name, lengths) in point.label_lengths {
                 let hist = histograms.entry(scheme_name).or_default();
                 for len in lengths {
@@ -333,6 +293,97 @@ impl SweepSpec {
             label_length_histograms: histograms,
         })
     }
+
+    /// Generates every (family, size, seed) instance of the spec and runs
+    /// `measure` on each, fanned out over the spec's worker threads. Results
+    /// come back in job order (families outermost, then sizes, then seeds),
+    /// so the output never depends on the thread count. The schemes,
+    /// sources and fault presets are the sweep's own axes and play no part
+    /// here: the paper-table experiments measure instances through this
+    /// method with their own closures.
+    ///
+    /// # Errors
+    /// [`SweepError::Generate`] for the first instance, in job order, that
+    /// cannot be generated.
+    pub fn map_instances<R: Send>(
+        &self,
+        measure: impl Fn(&Instance) -> R + Sync,
+    ) -> Result<Vec<R>, SweepError> {
+        self.execute(None, |instance| Ok(measure(instance)))
+    }
+
+    /// The family × size × seed executor behind both
+    /// [`map_instances`](Self::map_instances) and the sweep itself; with
+    /// telemetry attached, every job is bracketed by `job_start` /
+    /// `job_finish` events.
+    fn execute<R: Send>(
+        &self,
+        telemetry: Option<&SweepTelemetry>,
+        measure: impl Fn(&Instance) -> Result<R, SweepError> + Sync,
+    ) -> Result<Vec<R>, SweepError> {
+        let mut jobs = Vec::with_capacity(self.instance_count());
+        for &family in &self.families {
+            for &n in &self.sizes {
+                for &seed in &self.seeds {
+                    jobs.push((family, n, seed));
+                }
+            }
+        }
+        let threads = self.resolved_threads(jobs.len());
+        rn_radio::batch::run_parallel(jobs, threads, |(family, n, seed)| {
+            if let Some(t) = telemetry {
+                t.job_start(family.name(), n, seed);
+            }
+            let result = family
+                .generate(n, seed)
+                .map_err(|source| SweepError::Generate {
+                    family: family.name().to_string(),
+                    n,
+                    seed,
+                    source,
+                })
+                .and_then(|graph| {
+                    measure(&Instance {
+                        family,
+                        n_requested: n,
+                        seed,
+                        graph: Arc::new(graph),
+                    })
+                });
+            if let Some(t) = telemetry {
+                t.job_finish(family.name(), n, seed);
+            }
+            result
+        })
+        .into_iter()
+        .collect()
+    }
+
+    /// The worker count for a batch of `jobs`: the explicit `threads`
+    /// setting, or — when it is 0 — the batch-aware
+    /// [`rn_radio::batch::default_threads_for`].
+    pub fn resolved_threads(&self, jobs: usize) -> usize {
+        if self.threads == 0 {
+            rn_radio::batch::default_threads_for(jobs)
+        } else {
+            self.threads
+        }
+    }
+}
+
+/// One generated (family, size, seed) instance of a sweep: what
+/// [`SweepSpec::map_instances`] hands to its measurement.
+#[derive(Debug, Clone)]
+pub struct Instance {
+    /// The family the instance was drawn from.
+    pub family: TopologyFamily,
+    /// The requested node count (families round to achievable sizes, so
+    /// read the actual one off [`graph`](Self::graph)).
+    pub n_requested: usize,
+    /// The instance seed.
+    pub seed: u64,
+    /// The connectivity-checked graph, shared by every session built on it.
+    pub graph: Arc<Graph>,
 }
 
 /// What went wrong while running a sweep point.
@@ -475,7 +526,7 @@ impl SweepRecord {
         family: TopologyFamily,
         n_requested: usize,
         seed: u64,
-        graph: &rn_graph::Graph,
+        graph: &Graph,
         report: &RunReport,
         fault_spec: &FaultSpec,
     ) -> Self {
@@ -524,201 +575,126 @@ struct PointResult {
     label_lengths: Vec<(&'static str, Vec<usize>)>,
 }
 
-/// Runs every spec through the session, instrumenting each run when the
-/// sweep streams telemetry.
+/// Executes every scheme of `spec` on one instance, once per fault preset.
 ///
-/// Both arms execute the specs sequentially in spec order — `run_batch`
-/// with `threads = 1` runs inline, and the instrumented loop drives
-/// [`Session::run_with_instrumented`] spec by spec — so the reports (and
-/// therefore the sweep records) are identical whether or not telemetry is
-/// attached; instrumentation only adds the per-run [`RunMetrics`] column.
-fn execute_specs(
-    session: &Session,
-    specs: &[RunSpec],
-    instrument: bool,
-) -> Result<(Vec<RunReport>, Vec<Option<RunMetrics>>), LabelingError> {
-    if instrument {
-        let mut reports = Vec::with_capacity(specs.len());
-        let mut metrics = Vec::with_capacity(specs.len());
-        for &spec in specs {
-            let (report, m) = session.run_with_instrumented(spec)?;
-            reports.push(report);
-            metrics.push(Some(m));
-        }
-        Ok((reports, metrics))
-    } else {
-        let reports = session.run_batch(specs, 1)?;
-        let metrics = reports.iter().map(|_| None).collect();
-        Ok((reports, metrics))
-    }
-}
-
-/// Generates one instance and executes every scheme on it, once per fault
-/// preset.
-#[allow(clippy::too_many_arguments)]
+/// Sources spread evenly over the node range; the first is the family's
+/// natural hard case, and a multi-message scheme (`multi_lambda`, gossip)
+/// runs from it alone, its source set being fixed at build time. A
+/// fault-free, source-independent scheme runs every source through one
+/// session's cached labeling; otherwise each source gets its own session,
+/// because its labeling (source-dependent schemes) or its resolved fault
+/// plan (which never targets the run's source) is its own. Only fault-free
+/// runs are statically preflighted: the analyzer certifies the fault-free
+/// timeline, which a perturbing fault is *supposed* to diverge from (the
+/// `analyze --faults` gate asserts exactly that divergence).
+///
+/// Runs execute one by one in source order — instrumented when telemetry
+/// is attached, which only adds the per-run `RunMetrics` — so the records
+/// are identical with and without an observer.
 fn run_point(
-    family: TopologyFamily,
-    n: usize,
-    seed: u64,
-    schemes: &[Scheme],
-    sources_per_point: usize,
-    trace: TracePolicy,
-    verify_static: bool,
-    engine: Engine,
-    fault_specs: &[FaultSpec],
+    spec: &SweepSpec,
+    instance: &Instance,
     telemetry: Option<&SweepTelemetry>,
 ) -> Result<PointResult, SweepError> {
-    let graph = family
-        .generate(n, seed)
-        .map_err(|source| SweepError::Generate {
-            family: family.name().to_string(),
-            n,
-            seed,
-            source,
-        })?;
-    let graph = Arc::new(graph);
+    let Instance {
+        family,
+        n_requested,
+        seed,
+        ref graph,
+    } = *instance;
     let actual_n = graph.node_count();
-    // Sources spread evenly over the node range; the first is the family's
-    // natural hard case.
-    let mut source_nodes: Vec<usize> = (0..sources_per_point)
-        .map(|i| i * actual_n / sources_per_point)
-        .collect();
+    let sources = spec.sources_per_point.max(1);
+    let mut source_nodes: Vec<usize> = (0..sources).map(|i| i * actual_n / sources).collect();
     source_nodes.dedup();
+    let trace = if spec.record_traces {
+        TracePolicy::Recorded
+    } else {
+        TracePolicy::Disabled
+    };
+    let presets: &[FaultSpec] = if spec.faults.is_empty() {
+        &[FaultSpec::None]
+    } else {
+        &spec.faults
+    };
     let mut records = Vec::new();
     let mut label_lengths = Vec::new();
-    for &scheme in schemes {
-        let label_err = |source: rn_labeling::LabelingError| SweepError::Label {
+    for &scheme in &spec.schemes {
+        let label_err = |source: LabelingError| SweepError::Label {
             family: family.name().to_string(),
             scheme: scheme.name(),
             n: actual_n,
             source,
         };
-        // For source-dependent schemes every extra source means a fresh
-        // labeling; build a session per source so the histograms count
-        // every labeling actually executed. Source-independent schemes run
-        // all sources through one session's cached labeling.
-        let session_sources: &[usize] =
-            if scheme.labeling_depends_on_source() && source_nodes.len() > 1 {
-                &source_nodes
+        let run_sources = if scheme.is_multi_message() {
+            &source_nodes[..1]
+        } else {
+            &source_nodes[..]
+        };
+        // The 1-bit delay-relay schemes are outside the analyzer's scope
+        // (rn_analyze reports them Unsupported), so the preflight skips
+        // them rather than failing the sweep.
+        let in_scope = !matches!(scheme, Scheme::OneBitCycle | Scheme::OneBitGrid { .. });
+        for (preset_index, fspec) in presets.iter().enumerate() {
+            let fault_free = *fspec == FaultSpec::None;
+            let sessions: Vec<&[usize]> = if fault_free && !scheme.labeling_depends_on_source() {
+                vec![run_sources]
             } else {
-                &source_nodes[..1]
+                run_sources.chunks(1).collect()
             };
-        for (preset_index, fspec) in fault_specs.iter().enumerate() {
-            // A fault plan never changes the labeling, so the histograms
-            // count each labeling once (under the first preset only).
-            let count_labels = preset_index == 0;
-            if *fspec == FaultSpec::None {
-                for &session_source in session_sources {
-                    let session = Session::builder(scheme, Arc::clone(&graph))
-                        .source(session_source)
-                        .trace(trace)
-                        .engine(engine)
-                        .build()
-                        .map_err(label_err)?;
-                    if count_labels {
-                        label_lengths.push((
-                            scheme.name(),
-                            session
-                                .labeling()
-                                .labels()
-                                .iter()
-                                .map(rn_labeling::Label::len)
-                                .collect(),
-                        ));
-                    }
-                    // A multi-message run (multi_lambda, gossip) ignores the
-                    // per-spec source (its source *set* is fixed at build
-                    // time), so fanning the spread sources out would only
-                    // duplicate identical rows: it runs once.
-                    let one_run = scheme.is_multi_message();
-                    let specs: Vec<RunSpec> = if one_run || session_sources.len() > 1 {
-                        vec![RunSpec::new(session_source, 7)]
-                    } else {
-                        source_nodes.iter().map(|&s| RunSpec::new(s, 7)).collect()
-                    };
-                    // The point itself is one parallel job, so the inner
-                    // batch runs inline (threads = 1); parallelism lives at
-                    // the instance level.
-                    let (reports, run_metrics) =
-                        execute_specs(&session, &specs, telemetry.is_some()).map_err(label_err)?;
-                    // The 1-bit delay-relay schemes are outside the
-                    // analyzer's scope (rn_analyze reports them
-                    // Unsupported), so the preflight skips them rather than
-                    // failing the sweep.
-                    let in_scope =
-                        !matches!(scheme, Scheme::OneBitCycle | Scheme::OneBitGrid { .. });
-                    for (report, metrics) in reports.iter().zip(&run_metrics) {
-                        let mut record =
-                            SweepRecord::from_report(family, n, seed, &graph, report, fspec);
-                        if verify_static && in_scope {
-                            let cert = rn_analyze::analyze_and_cross_check(&session, report)
-                                .map_err(|findings| SweepError::Static {
-                                    family: family.name().to_string(),
-                                    scheme: scheme.name(),
-                                    n: actual_n,
-                                    detail: findings
-                                        .iter()
-                                        .map(std::string::ToString::to_string)
-                                        .collect::<Vec<_>>()
-                                        .join("; "),
-                                })?;
-                            record.predicted_completion_round = cert.completion_round;
-                        }
-                        if let Some(t) = telemetry {
-                            t.point(&record, metrics.as_ref());
-                        }
-                        records.push(record);
-                    }
-                }
-            } else {
-                // Faulted runs: the resolved plan is source-aware (it never
-                // targets the run's source), so every run gets its own
-                // session, whether or not the labeling depends on the
-                // source. The static preflight is skipped here by design —
-                // the analyzer certifies the fault-free timeline, which a
-                // perturbing fault is *supposed* to diverge from (the
-                // `analyze --faults` gate asserts exactly that divergence).
-                let run_sources: Vec<usize> = if scheme.is_multi_message() {
-                    vec![source_nodes[0]]
-                } else {
-                    source_nodes.clone()
-                };
-                for &run_source in &run_sources {
-                    let plan = fspec.resolve(actual_n, seed, run_source);
-                    let session = Session::builder(scheme, Arc::clone(&graph))
-                        .source(run_source)
-                        .trace(trace)
-                        .engine(engine)
-                        .faults(plan)
-                        .build()
-                        .map_err(label_err)?;
-                    if count_labels
-                        && (scheme.labeling_depends_on_source() || run_source == run_sources[0])
-                    {
-                        label_lengths.push((
-                            scheme.name(),
-                            session
-                                .labeling()
-                                .labels()
-                                .iter()
-                                .map(rn_labeling::Label::len)
-                                .collect(),
-                        ));
-                    }
-                    let (reports, run_metrics) = execute_specs(
-                        &session,
-                        &[RunSpec::new(run_source, 7)],
-                        telemetry.is_some(),
-                    )
+            for (session_index, session_sources) in sessions.into_iter().enumerate() {
+                let session_source = session_sources[0];
+                let session = Session::builder(scheme, Arc::clone(graph))
+                    .source(session_source)
+                    .trace(trace)
+                    .engine(spec.engine)
+                    .faults(fspec.resolve(actual_n, seed, session_source))
+                    .build()
                     .map_err(label_err)?;
-                    for (report, metrics) in reports.iter().zip(&run_metrics) {
-                        let record =
-                            SweepRecord::from_report(family, n, seed, &graph, report, fspec);
-                        if let Some(t) = telemetry {
-                            t.point(&record, metrics.as_ref());
-                        }
-                        records.push(record);
+                // A fault plan never changes the labeling, so the histograms
+                // count every labeling once: under the first preset, and
+                // once per instance for a source-independent scheme.
+                if preset_index == 0 && (scheme.labeling_depends_on_source() || session_index == 0)
+                {
+                    label_lengths.push((
+                        scheme.name(),
+                        session
+                            .labeling()
+                            .labels()
+                            .iter()
+                            .map(rn_labeling::Label::len)
+                            .collect(),
+                    ));
+                }
+                for &source in session_sources {
+                    let run = RunSpec::new(source, 7);
+                    let (report, metrics) = if telemetry.is_some() {
+                        let (report, metrics) =
+                            session.run_with_instrumented(run).map_err(label_err)?;
+                        (report, Some(metrics))
+                    } else {
+                        (session.run_with(run).map_err(label_err)?, None)
+                    };
+                    let mut record =
+                        SweepRecord::from_report(family, n_requested, seed, graph, &report, fspec);
+                    if fault_free && spec.verify_static && in_scope {
+                        let cert = rn_analyze::analyze_and_cross_check(&session, &report).map_err(
+                            |findings| SweepError::Static {
+                                family: family.name().to_string(),
+                                scheme: scheme.name(),
+                                n: actual_n,
+                                detail: findings
+                                    .iter()
+                                    .map(std::string::ToString::to_string)
+                                    .collect::<Vec<_>>()
+                                    .join("; "),
+                            },
+                        )?;
+                        record.predicted_completion_round = cert.completion_round;
                     }
+                    if let Some(t) = telemetry {
+                        t.point(&record, metrics.as_ref());
+                    }
+                    records.push(record);
                 }
             }
         }
@@ -1366,50 +1342,69 @@ mod tests {
     fn telemetry_observes_runs_without_changing_the_records() {
         // Fault-free and faulted runs both go through the instrumented
         // path when a telemetry stream is attached; the records must stay
-        // byte-identical to an unobserved sweep, and the sidecar must
-        // carry one `point` per record whose round count matches it.
-        let spec = || tiny_spec().faults(&[FaultSpec::None, FaultSpec::Crash { percent: 25 }]);
-        let plain = spec().run().unwrap();
-        let (telemetry, buf) = SweepTelemetry::to_buffer();
-        let observed = spec().run_with_telemetry(Some(&telemetry)).unwrap();
-        assert_eq!(plain.records, observed.records);
-        assert_eq!(
-            plain.label_length_histograms,
-            observed.label_length_histograms
-        );
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        let extract = |line: &str, key: &str| -> u64 {
-            let tagged = format!("\"{key}\":");
-            let at = line
-                .find(&tagged)
-                .unwrap_or_else(|| panic!("{key}: {line}"));
-            line[at + tagged.len()..]
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect::<String>()
-                .parse()
-                .unwrap()
-        };
-        let points: Vec<&str> = text
-            .lines()
-            .filter(|l| l.contains("\"event\":\"point\""))
-            .collect();
-        assert_eq!(points.len(), observed.records.len());
-        for (line, record) in points.iter().zip(&observed.records) {
-            assert_eq!(extract(line, "rounds"), record.rounds_executed, "{line}");
-            assert_eq!(extract(line, "seed"), record.seed, "{line}");
-            assert!(line.contains("\"counters\":{"), "{line}");
-            assert!(line.contains("round_loop"), "{line}");
+        // byte-identical to an unobserved sweep — traces off included,
+        // where the counters must not leak into the statistics columns —
+        // and the sidecar must carry one `point` per record whose round
+        // count matches it.
+        for spec in [
+            tiny_spec().faults(&[FaultSpec::None, FaultSpec::Crash { percent: 25 }]),
+            tiny_spec().record_traces(false),
+        ] {
+            let plain = spec.run().unwrap();
+            let (telemetry, buf) = SweepTelemetry::to_buffer();
+            let observed = spec.run_with_telemetry(Some(&telemetry)).unwrap();
+            assert_eq!(plain.records, observed.records);
+            assert_eq!(
+                plain.label_length_histograms,
+                observed.label_length_histograms
+            );
+            let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+            let extract = |line: &str, key: &str| -> u64 {
+                let tagged = format!("\"{key}\":");
+                let at = line
+                    .find(&tagged)
+                    .unwrap_or_else(|| panic!("{key}: {line}"));
+                line[at + tagged.len()..]
+                    .chars()
+                    .take_while(char::is_ascii_digit)
+                    .collect::<String>()
+                    .parse()
+                    .unwrap()
+            };
+            let points: Vec<&str> = text
+                .lines()
+                .filter(|l| l.contains("\"event\":\"point\""))
+                .collect();
+            assert_eq!(points.len(), observed.records.len());
+            for (line, record) in points.iter().zip(&observed.records) {
+                assert_eq!(extract(line, "rounds"), record.rounds_executed, "{line}");
+                assert_eq!(extract(line, "seed"), record.seed, "{line}");
+                assert!(line.contains("\"counters\":{"), "{line}");
+                assert!(line.contains("round_loop"), "{line}");
+            }
+            assert_eq!(
+                text.lines()
+                    .filter(|l| l.contains("\"event\":\"job_start\""))
+                    .count(),
+                spec.instance_count()
+            );
+            assert!(text
+                .lines()
+                .any(|l| l.contains("\"event\":\"sweep_finish\"")));
         }
+    }
+
+    #[test]
+    fn map_instances_yields_every_instance_in_job_order() {
+        let spec = tiny_spec().sizes(&[8, 12]);
+        let probe = |i: &Instance| (i.family.name(), i.n_requested, i.seed, i.graph.node_count());
+        let seen = spec.map_instances(probe).unwrap();
+        assert_eq!(seen.len(), spec.instance_count());
         assert_eq!(
-            text.lines()
-                .filter(|l| l.contains("\"event\":\"job_start\""))
-                .count(),
-            spec().instance_count()
+            seen[..3],
+            [("path", 8, 1, 8), ("path", 8, 2, 8), ("path", 12, 1, 12)]
         );
-        assert!(text
-            .lines()
-            .any(|l| l.contains("\"event\":\"sweep_finish\"")));
+        assert_eq!(seen, spec.threads(4).map_instances(probe).unwrap());
     }
 
     #[test]

@@ -119,6 +119,12 @@ pub enum TopologyFamily {
         /// Hard maximum degree Δ.
         max_degree: usize,
     },
+    /// Random series-parallel graph (see
+    /// [`series_parallel`](crate::generators::series_parallel)). Kept out of
+    /// [`PRESETS`](Self::PRESETS) — and therefore out of
+    /// [`parse`](Self::parse) and the preset-wide sweeps — so those stay
+    /// unchanged; the paper-table experiments name it directly.
+    SeriesParallel,
 }
 
 impl TopologyFamily {
@@ -172,6 +178,7 @@ impl TopologyFamily {
             TopologyFamily::ClusteredGnp { .. } => "clustered_gnp",
             TopologyFamily::UnitDisk { .. } => "unit_disk",
             TopologyFamily::DegreeCapped { .. } => "degree_capped",
+            TopologyFamily::SeriesParallel => "series_parallel",
         }
     }
 
@@ -366,6 +373,7 @@ impl TopologyFamily {
             TopologyFamily::DegreeCapped { max_degree } => {
                 clustered::degree_capped_random(n, max_degree, seed)?
             }
+            TopologyFamily::SeriesParallel => structured::series_parallel(n, seed)?,
         };
         if !is_connected(&g) {
             return Err(GraphError::NotConnected);
@@ -531,6 +539,19 @@ mod tests {
         }
         // The same families still generate fine at normal sizes.
         assert!(TopologyFamily::Complete.generate(64, 1).is_ok());
+    }
+
+    #[test]
+    fn series_parallel_delegates_to_its_generator_outside_the_presets() {
+        let family = TopologyFamily::SeriesParallel;
+        assert!(!TopologyFamily::PRESETS.contains(&family));
+        assert!(TopologyFamily::parse(family.name()).is_err());
+        for (n, seed) in [(8, 1), (40, 7)] {
+            assert_eq!(
+                family.generate(n, seed).unwrap(),
+                structured::series_parallel(n, seed).unwrap()
+            );
+        }
     }
 
     #[test]

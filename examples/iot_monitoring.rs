@@ -7,14 +7,14 @@
 //! The monitor assigns the 3-bit λ_ack labels once — building the session
 //! constructs the labeling a single time — and afterwards the devices, which
 //! have only a few bits of configuration memory and no topology knowledge,
-//! repeatedly run the acknowledged broadcast B_ack: one `run_with_message`
-//! per update against the same cached labeling and shared graph.
+//! repeatedly run the acknowledged broadcast B_ack: one `run_with` per
+//! update against the same cached labeling and shared graph.
 //!
 //! ```text
 //! cargo run --example iot_monitoring
 //! ```
 
-use radio_labeling::broadcast::session::{Scheme, Session};
+use radio_labeling::broadcast::session::{RunSpec, Scheme, Session};
 use radio_labeling::graph::{algorithms, generators, Graph};
 
 /// Builds the deployment: a warehouse floor modelled as a grid of shelving
@@ -65,7 +65,9 @@ fn main() {
     let mut total_rounds = 0u64;
     let mut last_report = None;
     for (i, &update) in updates.iter().enumerate() {
-        let result = session.run_with_message(update).expect("broadcast runs");
+        let result = session
+            .run_with(RunSpec::new(gateway, update))
+            .expect("broadcast runs");
         let completion = result.completion_round.expect("B_ack informs every device");
         let ack = result.ack_round.expect("the gateway hears the ack");
         total_rounds += ack;

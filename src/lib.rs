@@ -43,7 +43,7 @@
 //! assert!(report.completion_round.unwrap() <= 2 * 20 - 3); // Theorem 2.9
 //!
 //! // Repeated runs reuse the cached labeling: only the simulation repeats.
-//! let next = session.run_with_message(0xCAFE).unwrap();
+//! let next = session.run_with(RunSpec::new(0, 0xCAFE)).unwrap();
 //! assert_eq!(next.completion_round, report.completion_round);
 //!
 //! // The unknown-source scheme λ_arb serves every origin from one labeling,
@@ -53,11 +53,6 @@
 //! let reports = arb.run_batch(&specs, 4).unwrap();
 //! assert!(reports.iter().all(|r| r.common_knowledge_round.is_some()));
 //! ```
-//!
-//! The legacy one-shot entry points (`broadcast::runner::run_broadcast` and
-//! friends) are deprecated thin wrappers over sessions, kept for source
-//! compatibility; `tests/session_equivalence.rs` pins down that they produce
-//! identical results.
 //!
 //! ## Topologies and sweeps
 //!

@@ -3,14 +3,13 @@
 //! report table means a guarantee was violated).
 
 use radio_labeling::experiments::experiments::{run_by_id, EXPERIMENT_IDS};
-use radio_labeling::experiments::ExperimentConfig;
+use radio_labeling::experiments::SweepSpec;
 
-fn small_config() -> ExperimentConfig {
-    ExperimentConfig {
-        sizes: vec![8, 12],
-        seeds: vec![1],
-        threads: 2,
-    }
+fn small_config() -> SweepSpec {
+    SweepSpec::new("smoke")
+        .sizes(&[8, 12])
+        .seeds(&[1])
+        .threads(2)
 }
 
 #[test]
@@ -46,11 +45,8 @@ fn experiment_tables_render_with_titles_and_headers() {
 
 #[test]
 fn parallel_and_sequential_experiment_runs_agree() {
-    let mut cfg = small_config();
-    cfg.threads = 1;
-    let seq = run_by_id("e4", &cfg).unwrap();
-    cfg.threads = 4;
-    let par = run_by_id("e4", &cfg).unwrap();
+    let seq = run_by_id("e4", &small_config().threads(1)).unwrap();
+    let par = run_by_id("e4", &small_config().threads(4)).unwrap();
     assert_eq!(
         seq, par,
         "sweep results must not depend on the thread count"

@@ -1,27 +1,32 @@
-//! Equivalence suite for the session redesign: the unified `Session` API must
-//! reproduce the results of the legacy one-shot runners — same completion,
-//! acknowledgement and common-knowledge rounds, same informed rounds, same
-//! communication statistics — for every scheme across the canonical workload
-//! families, and repeated session runs must reuse the cached labeling.
-//!
-//! The legacy functions are deprecated delegates, so these tests also pin
-//! down that the delegation preserves every field of the historical result
-//! structs.
+//! Equivalence suite for the session API: every scheme's `Session` must
+//! reproduce what the one-shot runners of the original design computed —
+//! construct the labeling, build the protocol network, simulate it with a
+//! recorded trace under the scheme's stop condition — with the same
+//! completion, acknowledgement and common-knowledge rounds, the same
+//! informed rounds, and the same communication statistics, across the
+//! canonical workload families. The reference replays run on a bare
+//! `Simulator`, independent of the session's node templates, scratch pool
+//! and online informed-round tracking. Repeated session runs must also
+//! reuse the cached labeling.
 
-#![allow(deprecated)]
-
-use radio_labeling::broadcast::runner;
+use radio_labeling::broadcast::algo_b::BNode;
+use radio_labeling::broadcast::algo_back::BackNode;
+use radio_labeling::broadcast::algo_barb::ArbNode;
+use radio_labeling::broadcast::baselines::SlottedNode;
+use radio_labeling::broadcast::delay_relay::DelayRelayNode;
 use radio_labeling::broadcast::session::{
-    RoundCapPolicy, RunSpec, Scheme, Session, StopPolicy, TracePolicy,
+    RoundCapPolicy, RunReport, RunSpec, Scheme, Session, StopPolicy, TracePolicy,
 };
+use radio_labeling::broadcast::{verify, BMessage, TaggedPayload};
 use radio_labeling::graph::{generators, Graph};
-use radio_labeling::labeling::Labeling;
+use radio_labeling::labeling::{baselines, lambda, lambda_ack, lambda_arb, onebit, Labeling};
+use radio_labeling::radio::{ExecutionStats, RadioNode, Simulator, StopCondition};
 use std::sync::Arc;
 
 const MSG: u64 = 42;
 
-/// The workloads the redesign is validated on: Path, Star, Grid, GnpSparse
-/// (plus a cycle for the 1-bit scheme).
+/// The workloads the session API is validated on: Path, Star, Grid,
+/// GnpSparse (plus a cycle and a grid for the 1-bit schemes).
 fn workloads() -> Vec<(&'static str, Graph, usize)> {
     vec![
         ("path-16", generators::path(16), 0),
@@ -37,7 +42,7 @@ fn workloads() -> Vec<(&'static str, Graph, usize)> {
     ]
 }
 
-fn session_run(scheme: Scheme, g: &Graph, source: usize) -> radio_labeling::broadcast::RunReport {
+fn session_run(scheme: Scheme, g: &Graph, source: usize) -> RunReport {
     Session::builder(scheme, g.clone())
         .source(source)
         .message(MSG)
@@ -46,106 +51,189 @@ fn session_run(scheme: Scheme, g: &Graph, source: usize) -> radio_labeling::broa
         .run()
 }
 
+/// Linear round caps of the constant-length schemes, scaled by `factor`.
+fn linear_cap(g: &Graph, factor: u64) -> u64 {
+    factor * (g.node_count() as u64 + 2) + 16
+}
+
+/// Replays `nodes` on a bare, traced simulator until `stop` or until
+/// `done` (evaluated after every round with the round number) holds.
+fn replay<N: RadioNode>(
+    g: &Graph,
+    nodes: Vec<N>,
+    stop: StopCondition,
+    mut done: impl FnMut(&Simulator<N>, u64) -> bool,
+) -> Simulator<N> {
+    let mut sim = Simulator::new(g.clone(), nodes);
+    sim.run_until(stop, |s| done(s, s.current_round()));
+    sim
+}
+
+/// Asserts that a session report carries the trace-derived fields of a
+/// reference replay: informed rounds (first payload reception), completion
+/// round, executed rounds and statistics.
+fn assert_matches_replay<N: RadioNode>(
+    name: &str,
+    report: &RunReport,
+    sim: &Simulator<N>,
+    labeling: &Labeling,
+    is_payload: impl Fn(&N::Msg) -> bool,
+) {
+    let informed =
+        verify::first_payload_rounds(sim.trace(), report.node_count, report.source, is_payload);
+    assert_eq!(report.scheme, labeling.scheme(), "{name}");
+    assert_eq!(report.label_length, labeling.length(), "{name}");
+    assert_eq!(report.distinct_labels, labeling.distinct_count(), "{name}");
+    assert_eq!(report.informed_rounds, informed, "{name}");
+    assert_eq!(
+        report.completion_round,
+        verify::completion_round(&informed),
+        "{name}"
+    );
+    assert_eq!(report.rounds_executed, sim.current_round(), "{name}");
+    assert_eq!(
+        report.stats,
+        ExecutionStats::from_trace(sim.trace()),
+        "{name}"
+    );
+}
+
+/// Reference replay of a quiet-stopping single-payload protocol (B, the
+/// 1-bit delay relay) under the linear cap of factor 4.
+fn assert_quiet_replay<N: RadioNode>(
+    name: &str,
+    report: &RunReport,
+    g: &Graph,
+    labeling: &Labeling,
+    nodes: Vec<N>,
+    is_payload: impl Fn(&N::Msg) -> bool,
+) {
+    let stop = StopCondition::QuietFor {
+        quiet: 3,
+        cap: linear_cap(g, 4),
+    };
+    let sim = replay(g, nodes, stop, |_, _| false);
+    assert_matches_replay(name, report, &sim, labeling, is_payload);
+}
+
 #[test]
 fn lambda_sessions_reproduce_run_broadcast() {
     for (name, g, source) in workloads() {
-        let old = runner::run_broadcast(&g, source, MSG).unwrap();
-        let new = session_run(Scheme::Lambda, &g, source);
-        assert_eq!(old.scheme, new.scheme, "{name}");
-        assert_eq!(old.node_count, new.node_count, "{name}");
-        assert_eq!(old.label_length, new.label_length, "{name}");
-        assert_eq!(old.distinct_labels, new.distinct_labels, "{name}");
-        assert_eq!(old.informed_rounds, new.informed_rounds, "{name}");
-        assert_eq!(old.completion_round, new.completion_round, "{name}");
-        assert_eq!(old.stats, new.stats, "{name}");
+        let labeling = lambda::construct(&g, source).unwrap().into_labeling();
+        let nodes = BNode::network(&labeling, source, MSG);
+        let report = session_run(Scheme::Lambda, &g, source);
+        assert_quiet_replay(name, &report, &g, &labeling, nodes, |m| {
+            matches!(m, BMessage::Data(_))
+        });
     }
 }
 
 #[test]
 fn lambda_ack_sessions_reproduce_run_acknowledged_broadcast() {
     for (name, g, source) in workloads() {
-        let old = runner::run_acknowledged_broadcast(&g, source, MSG).unwrap();
-        let new = session_run(Scheme::LambdaAck, &g, source);
-        assert_eq!(old.broadcast.scheme, new.scheme, "{name}");
-        assert_eq!(old.broadcast.informed_rounds, new.informed_rounds, "{name}");
-        assert_eq!(
-            old.broadcast.completion_round, new.completion_round,
-            "{name}"
+        let labeling = lambda_ack::construct(&g, source).unwrap().into_labeling();
+        let stop = StopCondition::QuietFor {
+            quiet: 3,
+            cap: linear_cap(&g, 6),
+        };
+        let mut ack_round = None;
+        let sim = replay(
+            &g,
+            BackNode::network(&labeling, source, MSG),
+            stop,
+            |s, round| {
+                if ack_round.is_none() && s.nodes()[source].source_received_ack() {
+                    ack_round = Some(round);
+                }
+                false
+            },
         );
-        assert_eq!(old.ack_round, new.ack_round, "{name}");
-        assert_eq!(old.broadcast.stats, new.stats, "{name}");
+        let report = session_run(Scheme::LambdaAck, &g, source);
+        assert_matches_replay(name, &report, &sim, &labeling, |m| {
+            matches!(m.payload, TaggedPayload::Data(_))
+        });
+        assert_eq!(report.ack_round, ack_round, "{name}");
     }
 }
 
 #[test]
 fn lambda_arb_sessions_reproduce_run_arbitrary_source() {
     for (name, g, source) in workloads() {
-        let old = runner::run_arbitrary_source(&g, 0, source, MSG).unwrap();
-        let new = Session::builder(Scheme::LambdaArb, g.clone())
+        let labeling = lambda_arb::construct(&g).unwrap().into_labeling();
+        let (mut completion, mut common_knowledge) = (None, None);
+        let sim = replay(
+            &g,
+            ArbNode::network(&labeling, source, MSG),
+            StopCondition::AfterRounds(linear_cap(&g, 16)),
+            |s, round| {
+                let nodes = s.nodes();
+                if completion.is_none() && nodes.iter().all(|v| v.learned_message() == Some(MSG)) {
+                    completion = Some(round);
+                }
+                if common_knowledge.is_none() && nodes.iter().all(ArbNode::knows_completion) {
+                    common_knowledge = Some(round);
+                }
+                completion.is_some() && common_knowledge.is_some()
+            },
+        );
+        let report = Session::builder(Scheme::LambdaArb, g.clone())
             .coordinator(0)
             .source(source)
             .message(MSG)
             .build()
             .unwrap()
             .run();
-        assert_eq!(old.coordinator, new.coordinator.unwrap(), "{name}");
-        assert_eq!(old.source, new.source, "{name}");
-        assert_eq!(old.completion_round, new.completion_round, "{name}");
+        assert_eq!(report.coordinator, Some(0), "{name}");
+        assert_eq!(report.source, source, "{name}");
+        assert_eq!(report.completion_round, completion, "{name}");
+        assert_eq!(report.common_knowledge_round, common_knowledge, "{name}");
+        assert_eq!(report.label_length, labeling.length(), "{name}");
+        assert_eq!(report.rounds_executed, sim.current_round(), "{name}");
         assert_eq!(
-            old.common_knowledge_round, new.common_knowledge_round,
+            report.stats,
+            ExecutionStats::from_trace(sim.trace()),
             "{name}"
         );
-        assert_eq!(old.label_length, new.label_length, "{name}");
-        assert_eq!(old.stats, new.stats, "{name}");
     }
 }
 
 #[test]
 fn baseline_sessions_reproduce_the_baseline_runners() {
     for (name, g, source) in workloads() {
-        let old_ids = runner::run_unique_id_broadcast(&g, source, MSG).unwrap();
-        let new_ids = session_run(Scheme::UniqueIds, &g, source);
-        assert_eq!(old_ids.scheme, new_ids.scheme, "{name}");
-        assert_eq!(old_ids.informed_rounds, new_ids.informed_rounds, "{name}");
-        assert_eq!(old_ids.completion_round, new_ids.completion_round, "{name}");
-        assert_eq!(old_ids.stats, new_ids.stats, "{name}");
-
-        let old_col = runner::run_coloring_broadcast(&g, source, MSG).unwrap();
-        let new_col = session_run(Scheme::SquareColoring, &g, source);
-        assert_eq!(old_col.scheme, new_col.scheme, "{name}");
-        assert_eq!(old_col.informed_rounds, new_col.informed_rounds, "{name}");
-        assert_eq!(old_col.completion_round, new_col.completion_round, "{name}");
-        assert_eq!(old_col.stats, new_col.stats, "{name}");
+        let n = g.node_count() as u64;
+        for (scheme, labeling) in [
+            (Scheme::UniqueIds, baselines::unique_ids(&g).unwrap()),
+            (
+                Scheme::SquareColoring,
+                baselines::square_coloring(&g).unwrap().0,
+            ),
+        ] {
+            let sim = replay(
+                &g,
+                SlottedNode::network(&labeling, source, MSG),
+                StopCondition::AfterRounds(16 * n * n + 64),
+                |s, _| s.nodes().iter().all(SlottedNode::is_informed),
+            );
+            let report = session_run(scheme, &g, source);
+            assert_matches_replay(name, &report, &sim, &labeling, |_| true);
+        }
     }
 }
 
 #[test]
 fn onebit_sessions_reproduce_the_onebit_runners() {
+    let is_data = |m: &BMessage| matches!(m, BMessage::Data(_));
     let c = generators::cycle(14);
-    let old = runner::run_onebit_cycle(&c, 4, MSG).unwrap();
-    let new = Session::builder(Scheme::OneBitCycle, c)
-        .source(4)
-        .message(MSG)
-        .build()
-        .unwrap()
-        .run();
-    assert_eq!(old.scheme, new.scheme);
-    assert_eq!(old.informed_rounds, new.informed_rounds);
-    assert_eq!(old.completion_round, new.completion_round);
-    assert_eq!(old.stats, new.stats);
+    let labeling = onebit::cycle_onebit(&c, 4).unwrap();
+    let nodes = DelayRelayNode::network(&labeling, 4, MSG);
+    let report = session_run(Scheme::OneBitCycle, &c, 4);
+    assert_quiet_replay("cycle-14", &report, &c, &labeling, nodes, is_data);
 
     let g = generators::grid(3, 5);
-    let old = runner::run_onebit_grid(&g, 3, 5, 7, MSG).unwrap();
-    let new = Session::builder(Scheme::OneBitGrid { rows: 3, cols: 5 }, g)
-        .source(7)
-        .message(MSG)
-        .build()
-        .unwrap()
-        .run();
-    assert_eq!(old.scheme, new.scheme);
-    assert_eq!(old.informed_rounds, new.informed_rounds);
-    assert_eq!(old.completion_round, new.completion_round);
-    assert_eq!(old.stats, new.stats);
+    let labeling = onebit::grid_onebit(&g, 3, 5, 7).unwrap();
+    let nodes = DelayRelayNode::network(&labeling, 7, MSG);
+    let report = session_run(Scheme::OneBitGrid { rows: 3, cols: 5 }, &g, 7);
+    assert_quiet_replay("grid-3x5", &report, &g, &labeling, nodes, is_data);
 }
 
 #[test]
