@@ -9,10 +9,17 @@
 //! candidate kept has a "private" frontier neighbour that hears it without
 //! collision.
 //!
-//! [`minimal_dominating_subset`] implements that reduction; the
+//! [`DominationReducer`] implements that reduction on reusable scratch, so a
+//! caller running it once per stage pays only for the sets it touches;
+//! [`minimal_dominating_subset`] is the one-shot allocating form. The
 //! [`ReductionOrder`] parameter exists only for the ablation benchmark — every
 //! order yields a minimal set, but different minimal sets can lead to
 //! different broadcast schedules.
+//!
+//! The membership predicates ([`is_dominating_set`],
+//! [`is_minimal_dominating_set`], [`dominator_count`]) work on a sorted copy
+//! of the set and never allocate anything of size `n`, so they stay cheap
+//! inside per-stage debug assertions.
 
 use crate::graph::{Graph, NodeId};
 use rand::seq::SliceRandom;
@@ -30,20 +37,6 @@ pub enum ReductionOrder {
     Random(u64),
 }
 
-/// The open neighbourhood Γ(X) of a set of nodes: every node adjacent to at
-/// least one node of `set` (paper notation Γ). The result is sorted and
-/// deduplicated; note that members of `set` appear only if they have a
-/// neighbour inside `set`.
-pub fn neighborhood_of_set(g: &Graph, set: &[NodeId]) -> Vec<NodeId> {
-    let mut out: Vec<NodeId> = set
-        .iter()
-        .flat_map(|&v| g.neighbors(v).iter().copied())
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
 /// Whether node `x` dominates node `y` in `g`, i.e. `x` is adjacent to `y`.
 /// (The paper's notion of domination is by adjacency, not closed
 /// neighbourhood.)
@@ -51,45 +44,186 @@ pub fn dominates(g: &Graph, x: NodeId, y: NodeId) -> bool {
     g.has_edge(x, y)
 }
 
+/// `set` sorted and deduplicated: the membership index the predicates below
+/// binary-search instead of allocating an `n`-sized bitmap.
+fn members(set: &[NodeId]) -> Vec<NodeId> {
+    let mut members = set.to_vec();
+    members.sort_unstable();
+    members.dedup();
+    members
+}
+
+/// Number of neighbours of `target` in the sorted, deduplicated `members`.
+fn cover_in(g: &Graph, members: &[NodeId], target: NodeId) -> usize {
+    g.neighbors(target)
+        .iter()
+        .filter(|w| members.binary_search(w).is_ok())
+        .count()
+}
+
 /// Whether `set` dominates every node of `targets`: each target has at least
 /// one neighbour in `set`.
+///
+/// Runs in `O((|set| + Σ_{t∈targets} deg(t)) · log |set|)`, independent of
+/// `n`.
 pub fn is_dominating_set(g: &Graph, set: &[NodeId], targets: &[NodeId]) -> bool {
-    let mut in_set = vec![false; g.node_count()];
-    for &v in set {
-        in_set[v] = true;
-    }
-    targets
-        .iter()
-        .all(|&t| g.neighbors(t).iter().any(|&w| in_set[w]))
+    let members = members(set);
+    targets.iter().all(|&t| cover_in(g, &members, t) > 0)
 }
 
 /// Whether `set` is a **minimal** set dominating `targets`: it dominates them
 /// and no proper subset does. Equivalently, every member of `set` has a
 /// private target neighbour (a target adjacent to it and to no other member).
+///
+/// One pass over the targets computes each target's cover count; a target
+/// covered exactly once marks its one dominator as having a private
+/// neighbour. Runs in `O((|set| + Σ_{t∈targets} deg(t)) · log |set|)`,
+/// independent of `n`.
 pub fn is_minimal_dominating_set(g: &Graph, set: &[NodeId], targets: &[NodeId]) -> bool {
-    if !is_dominating_set(g, set, targets) {
-        return false;
+    let members = members(set);
+    let mut has_private = vec![false; members.len()];
+    for &t in targets {
+        let mut dominators = g
+            .neighbors(t)
+            .iter()
+            .filter_map(|w| members.binary_search(w).ok());
+        match (dominators.next(), dominators.next()) {
+            (None, _) => return false,
+            (Some(only), None) => has_private[only] = true,
+            (Some(_), Some(_)) => {}
+        }
     }
-    let mut in_set = vec![false; g.node_count()];
-    for &v in set {
-        in_set[v] = true;
-    }
-    // Every member must have a private neighbour among the targets.
-    set.iter().all(|&member| {
-        targets.iter().any(|&t| {
-            g.has_edge(member, t) && g.neighbors(t).iter().filter(|&&w| in_set[w]).count() == 1
-        })
-    })
+    has_private.into_iter().all(|p| p)
 }
 
 /// Number of neighbours of `target` inside `set` (used to find nodes that hear
-/// exactly one transmitter).
+/// exactly one transmitter). Runs in `O((|set| + deg(target)) · log |set|)`.
 pub fn dominator_count(g: &Graph, set: &[NodeId], target: NodeId) -> usize {
-    let mut in_set = vec![false; g.node_count()];
-    for &v in set {
-        in_set[v] = true;
+    cover_in(g, &members(set), target)
+}
+
+/// Reusable scratch for reducing candidate sets to minimal dominating subsets
+/// of a fixed graph.
+///
+/// The reducer holds one `in_set` flag and one `cover` count per node,
+/// allocated once. Each [`reduce`](Self::reduce) call sets only the entries of
+/// its own candidates and targets and resets exactly those before returning,
+/// so a caller reducing once per stage pays `O(n)` once and then only for
+/// what each stage touches.
+#[derive(Debug, Clone)]
+pub struct DominationReducer {
+    /// Whether a node is a current member of the candidate set being reduced.
+    in_set: Vec<bool>,
+    /// For a target: the number of current members adjacent to it (always
+    /// ≥ 1 while reducing). Zero for every non-target.
+    cover: Vec<u32>,
+    /// The candidates in trial order.
+    trial: Vec<NodeId>,
+    /// Adjacency entries walked and set elements visited so far.
+    work: u64,
+}
+
+impl DominationReducer {
+    /// A reducer for graphs with `n` nodes.
+    pub fn new(n: usize) -> Self {
+        DominationReducer {
+            in_set: vec![false; n],
+            cover: vec![0; n],
+            trial: Vec::new(),
+            work: 0,
+        }
     }
-    g.neighbors(target).iter().filter(|&&w| in_set[w]).count()
+
+    /// Adjacency entries walked plus set elements visited by every
+    /// [`reduce`](Self::reduce) call so far: a deterministic measure of the
+    /// reducer's cost.
+    pub fn work(&self) -> u64 {
+        self.work
+    }
+
+    /// Reduces `candidates` to a minimal subset that still dominates
+    /// `targets`, writing it sorted and deduplicated into `dom`, and writes
+    /// into `once` the targets (in `targets` order) adjacent to exactly one
+    /// member of `dom`.
+    ///
+    /// Returns `false`, leaving `dom` and `once` empty, if `candidates` does
+    /// not dominate `targets`.
+    ///
+    /// The reduction repeatedly drops any candidate whose removal keeps all
+    /// targets dominated, trying candidates in the given [`ReductionOrder`]
+    /// (applied to the sorted candidates, duplicates included). The result is
+    /// inclusion-minimal regardless of order. Runs in
+    /// `O(|candidates| log |candidates| + Σ_{c∈candidates} deg(c) +
+    /// Σ_{t∈targets} deg(t))`.
+    ///
+    /// # Panics
+    /// Panics if a candidate or target is not a node of a graph with the
+    /// reducer's node count.
+    pub fn reduce(
+        &mut self,
+        g: &Graph,
+        candidates: &[NodeId],
+        targets: &[NodeId],
+        order: ReductionOrder,
+        dom: &mut Vec<NodeId>,
+        once: &mut Vec<NodeId>,
+    ) -> bool {
+        dom.clear();
+        once.clear();
+        for &c in candidates {
+            self.in_set[c] = true;
+        }
+        let mut dominated = true;
+        for &t in targets {
+            let nbrs = g.neighbors(t);
+            self.work += nbrs.len() as u64;
+            let cover = nbrs.iter().filter(|&&w| self.in_set[w]).count();
+            self.cover[t] = u32::try_from(cover).expect("degree fits in u32");
+            dominated &= cover > 0;
+        }
+
+        if dominated {
+            self.trial.clear();
+            self.trial.extend_from_slice(candidates);
+            self.trial.sort_unstable();
+            match order {
+                ReductionOrder::Forward => {}
+                ReductionOrder::Reverse => self.trial.reverse(),
+                ReductionOrder::Random(seed) => {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                    self.trial.shuffle(&mut rng);
+                }
+            }
+            for &c in &self.trial {
+                if !self.in_set[c] {
+                    continue;
+                }
+                // c is removable iff no target neighbour has c as its only
+                // dominator (non-targets have cover 0, targets cover ≥ 1).
+                let nbrs = g.neighbors(c);
+                self.work += nbrs.len() as u64;
+                if nbrs.iter().all(|&t| self.cover[t] != 1) {
+                    self.in_set[c] = false;
+                    for &t in nbrs {
+                        self.cover[t] = self.cover[t].saturating_sub(1);
+                    }
+                }
+            }
+            dom.extend(candidates.iter().copied().filter(|&c| self.in_set[c]));
+            dom.sort_unstable();
+            dom.dedup();
+            once.extend(targets.iter().copied().filter(|&t| self.cover[t] == 1));
+        }
+
+        for &c in candidates {
+            self.in_set[c] = false;
+        }
+        for &t in targets {
+            self.cover[t] = 0;
+        }
+        self.work += 4 * candidates.len() as u64 + 3 * targets.len() as u64;
+        dominated
+    }
 }
 
 /// Reduces `candidates` to a minimal subset that still dominates `targets`.
@@ -98,67 +232,19 @@ pub fn dominator_count(g: &Graph, set: &[NodeId], target: NodeId) -> usize {
 /// if it does not — the paper's Lemma 2.5 guarantees this never happens when
 /// called by the scheme construction).
 ///
-/// The reduction repeatedly drops any candidate whose removal keeps all
-/// targets dominated, trying candidates in the given [`ReductionOrder`]. The
-/// result is inclusion-minimal regardless of order. Runs in
-/// `O(|candidates| · Σ_{t∈targets} deg(t))`.
+/// The one-shot form of [`DominationReducer::reduce`]: it allocates a fresh
+/// reducer, so it runs in `O(n + |candidates| log |candidates| +
+/// Σ_{c∈candidates} deg(c) + Σ_{t∈targets} deg(t))`.
 pub fn minimal_dominating_subset(
     g: &Graph,
     candidates: &[NodeId],
     targets: &[NodeId],
     order: ReductionOrder,
 ) -> Option<Vec<NodeId>> {
-    if !is_dominating_set(g, candidates, targets) {
-        return None;
-    }
-    let n = g.node_count();
-    // cover[t] = number of current set members adjacent to t, for t in targets.
-    let mut in_set = vec![false; n];
-    for &c in candidates {
-        in_set[c] = true;
-    }
-    let mut cover = vec![0usize; n];
-    let mut is_target = vec![false; n];
-    for &t in targets {
-        is_target[t] = true;
-        cover[t] = g.neighbors(t).iter().filter(|&&w| in_set[w]).count();
-    }
-
-    let mut trial: Vec<NodeId> = candidates.to_vec();
-    match order {
-        ReductionOrder::Forward => trial.sort_unstable(),
-        ReductionOrder::Reverse => {
-            trial.sort_unstable();
-            trial.reverse();
-        }
-        ReductionOrder::Random(seed) => {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            trial.sort_unstable();
-            trial.shuffle(&mut rng);
-        }
-    }
-
-    for &c in &trial {
-        // c is removable iff every target neighbour of c is covered by at
-        // least one other set member (a target t blocks removal iff
-        // cover[t] == 1, i.e. c is its only dominator).
-        let removable = g
-            .neighbors(c)
-            .iter()
-            .all(|&t| !is_target[t] || cover[t] >= 2);
-        if removable && in_set[c] {
-            in_set[c] = false;
-            for &t in g.neighbors(c) {
-                if is_target[t] {
-                    cover[t] -= 1;
-                }
-            }
-        }
-    }
-
-    let mut result: Vec<NodeId> = (0..n).filter(|&v| in_set[v]).collect();
-    result.sort_unstable();
-    Some(result)
+    let mut dom = Vec::new();
+    DominationReducer::new(g.node_count())
+        .reduce(g, candidates, targets, order, &mut dom, &mut Vec::new())
+        .then_some(dom)
 }
 
 /// Greedy dominating set for the whole graph (classic ln-approximation):
@@ -202,14 +288,6 @@ pub fn greedy_dominating_set(g: &Graph) -> Vec<NodeId> {
 mod tests {
     use super::*;
     use crate::generators;
-
-    #[test]
-    fn neighborhood_of_set_basic() {
-        let g = generators::path(5); // 0-1-2-3-4
-        assert_eq!(neighborhood_of_set(&g, &[0]), vec![1]);
-        assert_eq!(neighborhood_of_set(&g, &[1, 3]), vec![0, 2, 4]);
-        assert_eq!(neighborhood_of_set(&g, &[]), Vec::<usize>::new());
-    }
 
     #[test]
     fn dominates_is_adjacency() {
@@ -313,6 +391,49 @@ mod tests {
         // needs exactly two nodes.
         assert_eq!(a.len(), 2);
         assert_eq!(b.len(), 2);
+    }
+
+    #[test]
+    fn predicates_ignore_duplicate_set_members() {
+        let g = generators::path(5); // 0-1-2-3-4
+        assert!(is_dominating_set(&g, &[3, 1, 3], &[0, 2, 4]));
+        assert!(is_minimal_dominating_set(&g, &[3, 1, 1], &[0, 2, 4]));
+        assert_eq!(dominator_count(&g, &[1, 3, 1], 2), 2);
+    }
+
+    #[test]
+    fn reducer_reused_across_calls_matches_fresh_one_shot_reductions() {
+        let g = generators::grid(4, 5);
+        let mut reducer = DominationReducer::new(g.node_count());
+        let (mut dom, mut once) = (Vec::new(), Vec::new());
+        let cases: [(Vec<usize>, Vec<usize>); 4] = [
+            ((0..20).collect(), (0..20).collect()),
+            (vec![6, 8, 11, 13], vec![1, 7, 12, 18]),
+            // Not dominating: must leave the scratch clean for the next call.
+            (vec![0], vec![19]),
+            (vec![5, 7, 9, 5], vec![0, 6, 10, 14]),
+        ];
+        for order in [
+            ReductionOrder::Forward,
+            ReductionOrder::Reverse,
+            ReductionOrder::Random(7),
+        ] {
+            for (candidates, targets) in &cases {
+                let fresh = minimal_dominating_subset(&g, candidates, targets, order);
+                let ok = reducer.reduce(&g, candidates, targets, order, &mut dom, &mut once);
+                assert_eq!(ok, fresh.is_some(), "{order:?} {candidates:?}");
+                assert_eq!(dom, fresh.unwrap_or_default(), "{order:?} {candidates:?}");
+                let expected_once: Vec<usize> = if ok {
+                    (targets.iter().copied())
+                        .filter(|&t| dominator_count(&g, &dom, t) == 1)
+                        .collect()
+                } else {
+                    Vec::new()
+                };
+                assert_eq!(once, expected_once, "{order:?} {candidates:?}");
+            }
+        }
+        assert!(reducer.work() > 0);
     }
 
     #[test]

@@ -45,6 +45,12 @@ impl LambdaScheme {
     pub fn into_labeling(self) -> Labeling {
         self.labeling
     }
+
+    /// Consumes the scheme, returning the labeling and the construction
+    /// without copying either.
+    pub fn into_parts(self) -> (Labeling, SequenceConstruction) {
+        (self.labeling, self.construction)
+    }
 }
 
 /// Constructs the λ labeling for `(g, source)` using the default
@@ -71,36 +77,30 @@ pub fn construct_with_order(
 /// Derives the 2-bit labels from an already-built sequence construction.
 pub fn labels_from_construction(g: &Graph, construction: &SequenceConstruction) -> Labeling {
     let n = g.node_count();
-    let mut x1 = vec![false; n];
     let mut x2 = vec![false; n];
 
-    // x1 = 1 iff v ∈ DOM_i for some i.
-    for stage in construction.stages() {
-        for &v in &stage.dom {
-            x1[v] = true;
-        }
-    }
-
     // x2: for each i, for each v ∈ DOM_{i+1} ∩ DOM_i, pick one w ∈ NEW_i
-    // adjacent to v and set x2(w) = 1. We pick the smallest such w, which
-    // keeps the scheme deterministic; the paper allows any choice.
-    for window in construction.stages().windows(2) {
-        let cur = &window[0]; // stage i
-        let next = &window[1]; // stage i + 1
-        for &v in &next.dom {
+    // adjacent to v and set x2(w) = 1. We pick the smallest such w (the
+    // first in v's sorted adjacency row), which keeps the scheme
+    // deterministic; the paper allows any choice.
+    for (cur, next) in construction.stages().zip(construction.stages().skip(1)) {
+        for &v in next.dom {
             if cur.dom.binary_search(&v).is_ok() {
-                let w = cur
-                    .new
+                let w = g
+                    .neighbors(v)
                     .iter()
                     .copied()
-                    .find(|&w| g.has_edge(v, w))
+                    .find(|&w| construction.new_stage_of(w) == Some(cur.index))
                     .expect("minimality of DOM_i gives v a private NEW_i neighbour");
                 x2[w] = true;
             }
         }
     }
 
-    let labels = (0..n).map(|v| Label::two_bits(x1[v], x2[v])).collect();
+    // x1 = 1 iff v ∈ DOM_i for some i.
+    let labels = (0..n)
+        .map(|v| Label::two_bits(construction.in_some_dom(v), x2[v]))
+        .collect();
     Labeling::new(labels, SCHEME_NAME)
 }
 
@@ -179,10 +179,8 @@ mod tests {
         let g = generators::gnp_connected(45, 0.1, 17).unwrap();
         let s = construct(&g, 4).unwrap();
         let c = s.construction();
-        for w in c.stages().windows(2) {
-            let cur = &w[0];
-            let next = &w[1];
-            for &v in &next.dom {
+        for (cur, next) in c.stages().zip(c.stages().skip(1)) {
+            for &v in next.dom {
                 if cur.dom.binary_search(&v).is_ok() {
                     let count = cur
                         .new

@@ -86,23 +86,24 @@ proptest! {
         // Corollary 2.7: the NEW sets partition V \ {source}.
         let mut covered = vec![false; g.node_count()];
         for stage in c.stages() {
-            for &v in &stage.new {
+            for &v in stage.new {
                 prop_assert!(!covered[v], "node {} in two NEW sets", v);
                 covered[v] = true;
             }
             // Fact 2.1: NEW ⊆ FRONTIER ⊆ UNINF.
-            for v in &stage.new {
+            for v in stage.new {
                 prop_assert!(stage.frontier.contains(v));
             }
-            for v in &stage.frontier {
-                prop_assert!(stage.uninf.contains(v));
+            let uninf = c.uninf(stage.index);
+            for v in stage.frontier {
+                prop_assert!(uninf.contains(v));
             }
             // DOM_i dominates FRONTIER_i minimally.
             if !stage.frontier.is_empty() {
                 prop_assert!(algorithms::is_minimal_dominating_set(
                     &g,
-                    &stage.dom,
-                    &stage.frontier
+                    stage.dom,
+                    stage.frontier
                 ));
             }
         }
