@@ -2,10 +2,10 @@
 //! emitter so the perf trajectory is recorded across PRs.
 //!
 //! Measures rounds/second of Algorithm B (λ labels) on sparse-transmission
-//! workloads, n = 10 000 with tracing off, on all three engines: the default
-//! transmitter-centric engine, the retained listener-centric reference
-//! engine (`Engine::ListenerCentric` — the pre-change delivery algorithm,
-//! verbatim), and the event-driven frontier engine
+//! workloads, n = 10 000 with tracing off, on all three engines: the
+//! per-round transmitter-centric engine, the retained listener-centric
+//! reference engine (`Engine::ListenerCentric` — the pre-change delivery
+//! algorithm, verbatim), and the default event-driven frontier engine
 //! (`Engine::EventDriven` — wake-hint driven, with silent-round elision).
 //! Results including both speedup ratios go to `BENCH_simulator.json` at
 //! the workspace root.

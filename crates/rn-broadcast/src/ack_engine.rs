@@ -327,19 +327,42 @@ impl BackEngine {
         }
     }
 
+    /// Age an event counter is pinned at once it can no longer trigger any
+    /// rule: every rule in [`step`](Self::step) tests an age for equality
+    /// with 1 or 2, so saturating at 3 changes no decision — and it makes a
+    /// settled engine invariant under further ticks, the frozen state
+    /// [`is_frozen`](Self::is_frozen) reports (the same pinning as
+    /// `BNode::SETTLED_AGE`).
+    const SETTLED_AGE: u64 = 3;
+
     fn tick(&mut self) {
+        let age = |a: &mut u64| *a = (*a + 1).min(Self::SETTLED_AGE);
         if let Some(a) = &mut self.informed_age {
-            *a += 1;
+            age(a);
         }
         if let Some(a) = &mut self.last_data_transmit_age {
-            *a += 1;
+            age(a);
         }
         if let Some((_, a)) = &mut self.stay_received {
-            *a += 1;
+            age(a);
         }
         if let Some((_, _, a)) = &mut self.ack_received {
-            *a += 1;
+            age(a);
         }
+    }
+
+    /// Whether the engine is frozen: absent a received message, every
+    /// further `step` returns [`EngineAction::Listen`] and leaves the state
+    /// bit-identical. True once an enabled source has made its first
+    /// transmission (or a source is still disabled) and every age counter
+    /// has settled; `receive(None)` is always a no-op.
+    pub fn is_frozen(&self) -> bool {
+        let settled = |age: Option<u64>| age.is_none_or(|a| a >= Self::SETTLED_AGE);
+        !(self.is_source && self.enabled && !self.ever_acted)
+            && settled(self.informed_age)
+            && settled(self.last_data_transmit_age)
+            && settled(self.stay_received.map(|(_, a)| a))
+            && settled(self.ack_received.map(|(_, _, a)| a))
     }
 
     fn transmit_payload(&mut self, payload: TaggedPayload, tag: u64) -> EngineAction {

@@ -99,6 +99,17 @@ impl RadioNode for BackNode {
         self.engine.receive(heard);
     }
 
+    fn wake_hint(&self) -> u64 {
+        // Frozen once the source has sent (µ, 1) and every age counter has
+        // settled: from then on only a received message can change the
+        // node. While a rule can still fire the node is driven every round.
+        if self.engine.is_frozen() {
+            u64::MAX
+        } else {
+            0
+        }
+    }
+
     fn state_digest(&self) -> u64 {
         self.engine
             .digest_into(rn_radio::Digest::new(0xBAC).flag(self.is_source))
@@ -208,6 +219,90 @@ mod tests {
         assert!(sim.nodes()[1].is_informed());
         assert!(sim.nodes()[0].source_received_ack());
         assert!(sim.current_round() <= 3);
+    }
+
+    /// Drives `pairs` elided-span `step`/`receive(None)` pairs, asserting
+    /// each step listens and the digest never moves (the frozen-state
+    /// contract behind a `u64::MAX` hint).
+    fn assert_frozen(node: &mut BackNode, pairs: usize) {
+        assert_eq!(node.wake_hint(), u64::MAX);
+        let before = node.state_digest();
+        for _ in 0..pairs {
+            assert_eq!(node.step(), Action::Listen);
+            node.receive(None);
+            assert_eq!(node.state_digest(), before);
+        }
+    }
+
+    fn data(tag: u64) -> TaggedMessage {
+        TaggedMessage::new(Phase::One, TaggedPayload::Data(MSG), tag)
+    }
+
+    /// Drives `step`/`receive(None)` pairs while the hint is 0 and returns
+    /// how many it took to park (every rule fires within three rounds of
+    /// its trigger, so a few pairs always suffice).
+    fn settle(node: &mut BackNode) -> usize {
+        let mut pairs = 0;
+        while node.wake_hint() == 0 {
+            assert!(pairs < 6, "node never settles");
+            node.step();
+            node.receive(None);
+            pairs += 1;
+        }
+        pairs
+    }
+
+    #[test]
+    fn wake_hint_tracks_activity() {
+        // A fresh source is about to transmit (µ, 1): driven now.
+        let mut source = BackNode::new(Label::three_bits(true, false, false), Some(MSG));
+        assert_eq!(source.wake_hint(), 0);
+        assert!(source.step().is_transmit());
+        // Its transmit age still has to settle before it parks.
+        assert_eq!(source.wake_hint(), 0);
+        assert_eq!(settle(&mut source), 3);
+        assert_frozen(&mut source, 10);
+
+        // A fresh uninformed relay is frozen until it hears something...
+        let mut relay = BackNode::new(Label::three_bits(true, true, true), None);
+        assert_frozen(&mut relay, 5);
+        // ...hearing µ wakes it (ack and relay rules are pending)...
+        relay.receive(Some(&data(4)));
+        assert_eq!(relay.wake_hint(), 0);
+        // ...and once every age counter has settled it parks again.
+        settle(&mut relay);
+        assert_eq!(relay.sourcemsg(), Some(MSG));
+        assert_frozen(&mut relay, 10);
+
+        // A stay or a matching ack wakes a settled relay for the rounds in
+        // which it may answer.
+        relay.receive(Some(&TaggedMessage::new(
+            Phase::One,
+            TaggedPayload::Stay,
+            7,
+        )));
+        assert_eq!(relay.wake_hint(), 0);
+        settle(&mut relay);
+        relay.receive(Some(&TaggedMessage::ack_with_extra(Phase::One, 6, None)));
+        assert_eq!(relay.wake_hint(), 0);
+        settle(&mut relay);
+        assert_frozen(&mut relay, 10);
+    }
+
+    #[test]
+    fn hints_pass_the_wake_hint_audit_on_whole_runs() {
+        for (g, source) in [
+            (generators::path(9), 4),
+            (generators::grid(3, 4), 0),
+            (generators::gnp_connected(20, 0.2, 3).unwrap(), 7),
+        ] {
+            let n = g.node_count() as u64;
+            let scheme = lambda_ack::construct(&g, source).unwrap();
+            let nodes = BackNode::network(scheme.labeling(), source, MSG);
+            let mut sim = Simulator::new(g, nodes).without_trace();
+            let audit = rn_radio::audit_wake_hints(&mut sim, 6 * n).expect("hints hold");
+            assert!(audit.hints_audited > 0);
+        }
     }
 
     #[test]

@@ -169,6 +169,97 @@ impl ArbNode {
         self.knows_completion
     }
 
+    /// How many further `step`s it takes until
+    /// [`knows_completion`](Self::knows_completion) holds, for a node
+    /// stepped every round: `Some(0)` once it does, `None` while the
+    /// completion countdown still waits for a message the node has not
+    /// received. Exact, because receptions never move a countdown that is
+    /// running or about to start.
+    pub fn steps_until_knows_completion(&self) -> Option<u64> {
+        if self.knows_completion {
+            return Some(0);
+        }
+        if let Some(c) = self.completion_countdown {
+            return Some(c);
+        }
+        if self.is_coordinator {
+            // Phase 3 starts at the c-th step, which also starts the
+            // T + 1 countdown and ticks it once.
+            if let Some(c) = self.phase3_start_countdown {
+                return self.t_bound.map(|t| c + t);
+            }
+            if !self.phase_advance_pending() {
+                return None;
+            }
+            if self.phase2.is_enabled() {
+                // The next step starts phase 3 and the T + 1 countdown.
+                return self.t_bound.map(|t| t + 1);
+            }
+            // The next step ends phase 1. Only a coordinator holding µ then
+            // starts phase 3 by itself, at step T + 2, which also starts the
+            // T + 1 countdown and ticks it once.
+            let t = self.phase1.final_ack()?.1?;
+            return self.original_message.map(|_| 2 * t + 2);
+        }
+        // The next step starts the T − t_v + 1 countdown and ticks it once.
+        let (Some(t_v), Some(t)) = self.next_t_v_and_bound() else {
+            return None;
+        };
+        self.phase3.is_informed().then(|| t.saturating_sub(t_v) + 1)
+    }
+
+    /// `t_v` and `T` as the next
+    /// [`update_local_knowledge`](Self::update_local_knowledge) will have
+    /// recorded them.
+    fn next_t_v_and_bound(&self) -> (Option<u64>, Option<u64>) {
+        let t_v = self.t_v.or(self.phase1.informed_round());
+        let t_bound = self.t_bound.or(match self.phase2.payload() {
+            Some(TaggedPayload::Ready(t)) => Some(t),
+            _ => None,
+        });
+        (t_v, t_bound)
+    }
+
+    /// Whether the coordinator has heard a phase's terminating ack but not
+    /// yet started the next phase: its next `step` advances the phase (and,
+    /// after phase 2, replaces its placeholder phase-3 payload with µ, which
+    /// changes [`learned_message`](Self::learned_message) without any
+    /// reception). Always false for other nodes.
+    pub fn phase_advance_pending(&self) -> bool {
+        if !self.is_coordinator || self.phase3.is_enabled() {
+            return false;
+        }
+        if self.phase2.is_enabled() {
+            self.phase2.final_ack().is_some()
+        } else {
+            self.phase1.final_ack().is_some()
+        }
+    }
+
+    /// Whether the next `step`'s [`update_local_knowledge`] would change
+    /// anything. Mirrors its four updates in order: a later update sees the
+    /// `t_v` and `T` an earlier one would record.
+    ///
+    /// [`update_local_knowledge`]: Self::update_local_knowledge
+    fn local_knowledge_pending(&self) -> bool {
+        let (t_v, t_bound) = self.next_t_v_and_bound();
+        let records_t_v = self.t_v.is_none() && t_v.is_some();
+        let records_t_bound = self.t_bound.is_none() && t_bound.is_some();
+        let schedules_source_ack = self.original_message.is_some()
+            && !self.is_coordinator
+            && !self.source_ack_sent
+            && self.source_ack_countdown.is_none()
+            && t_bound.is_some()
+            && self.phase2.informed_round().is_some();
+        let starts_completion_countdown = self.completion_countdown.is_none()
+            && !self.knows_completion
+            && self.phase3.is_informed()
+            && !self.is_coordinator
+            && t_bound.is_some()
+            && t_v.is_some();
+        records_t_v || records_t_bound || schedules_source_ack || starts_completion_countdown
+    }
+
     /// Coordinator-side bookkeeping executed at the start of every round:
     /// advance phases when the previous phase's terminating ack has arrived.
     fn advance_phases(&mut self) {
@@ -322,6 +413,27 @@ impl RadioNode for ArbNode {
         }
     }
 
+    fn wake_hint(&self) -> u64 {
+        // Frozen once no coordinator phase advance, local-knowledge update
+        // or countdown is pending and all three Algorithm 2 instances are
+        // frozen: `step` is then a Listen no-op until a message arrives.
+        // Countdowns are driven round by round (hint 0) rather than
+        // fast-forwarded.
+        let frozen = !self.phase_advance_pending()
+            && !self.local_knowledge_pending()
+            && self.phase3_start_countdown.is_none()
+            && self.completion_countdown.is_none()
+            && self.source_ack_countdown.is_none()
+            && self.phase1.is_frozen()
+            && self.phase2.is_frozen()
+            && self.phase3.is_frozen();
+        if frozen {
+            u64::MAX
+        } else {
+            0
+        }
+    }
+
     fn state_digest(&self) -> u64 {
         let d = rn_radio::Digest::new(0xA4B)
             .flag(self.is_coordinator)
@@ -432,6 +544,158 @@ mod tests {
         assert!(coord.t_bound().is_some());
         assert_eq!(coord.learned_message(), Some(MSG));
         assert_eq!(coord.t_v(), Some(0));
+    }
+
+    /// Drives `pairs` elided-span `step`/`receive(None)` pairs, asserting
+    /// each step listens and the digest never moves (the frozen-state
+    /// contract behind a `u64::MAX` hint).
+    fn assert_frozen(node: &mut ArbNode, pairs: usize) {
+        assert_eq!(node.wake_hint(), u64::MAX);
+        let before = node.state_digest();
+        for _ in 0..pairs {
+            assert_eq!(node.step(), Action::Listen);
+            node.receive(None);
+            assert_eq!(node.state_digest(), before);
+        }
+    }
+
+    /// Drives `step`/`receive(None)` pairs while the hint is 0; returns how
+    /// many it took to park.
+    fn settle(node: &mut ArbNode) -> u64 {
+        let mut pairs = 0;
+        while node.wake_hint() == 0 {
+            assert!(pairs < 100, "node never settles");
+            node.step();
+            node.receive(None);
+            pairs += 1;
+        }
+        pairs
+    }
+
+    fn relay_label() -> Label {
+        Label::three_bits(true, false, false)
+    }
+
+    #[test]
+    fn wake_hint_tracks_activity() {
+        // The coordinator is phase 1's source, about to transmit: driven.
+        let mut coordinator = ArbNode::new(lambda_arb::coordinator_label(), None);
+        assert_eq!(coordinator.wake_hint(), 0);
+        assert!(coordinator.step().is_transmit());
+        settle(&mut coordinator);
+        assert_frozen(&mut coordinator, 10);
+        // The terminating phase-1 ack (tag 1 = its own transmit round)
+        // makes a phase advance pending: driven until phase 2 is under way.
+        coordinator.receive(Some(&TaggedMessage::ack_with_extra(Phase::One, 1, Some(6))));
+        assert!(coordinator.phase_advance_pending());
+        assert_eq!(coordinator.wake_hint(), 0);
+        assert!(coordinator.step().is_transmit(), "phase 2 starts at once");
+        settle(&mut coordinator);
+        assert_eq!(coordinator.t_bound(), Some(6));
+        assert_frozen(&mut coordinator, 10);
+
+        // Fresh relays, with or without µ, are frozen until they hear
+        // something.
+        let mut source = ArbNode::new(relay_label(), Some(MSG));
+        assert_frozen(&mut source, 5);
+        let mut relay = ArbNode::new(relay_label(), None);
+        assert_frozen(&mut relay, 5);
+        // Hearing "initialize" wakes a relay (t_v to record, a relay to
+        // send); once its ages settle it parks again.
+        relay.receive(Some(&TaggedMessage::new(
+            Phase::One,
+            TaggedPayload::Init,
+            2,
+        )));
+        assert_eq!(relay.wake_hint(), 0);
+        settle(&mut relay);
+        assert_eq!(relay.t_v(), Some(2));
+        assert_frozen(&mut relay, 10);
+        // Phase 2 teaches T = 6; phase 3 then starts its T − t_v + 1 = 5
+        // step completion countdown, during which it is driven every round.
+        relay.receive(Some(&TaggedMessage::new(
+            Phase::Two,
+            TaggedPayload::Ready(6),
+            3,
+        )));
+        settle(&mut relay);
+        assert_eq!(relay.t_bound(), Some(6));
+        relay.receive(Some(&TaggedMessage::new(
+            Phase::Three,
+            TaggedPayload::Data(MSG),
+            4,
+        )));
+        assert_eq!(relay.steps_until_knows_completion(), Some(5));
+        for left in (1..=5).rev() {
+            assert_eq!(relay.wake_hint(), 0, "countdown running");
+            assert_eq!(relay.steps_until_knows_completion(), Some(left));
+            relay.step();
+            relay.receive(None);
+        }
+        assert!(relay.knows_completion());
+        settle(&mut relay);
+        assert_frozen(&mut relay, 10);
+    }
+
+    #[test]
+    fn hints_pass_the_wake_hint_audit_on_whole_runs() {
+        for (g, coordinator, source) in [
+            (generators::path(8), 0, 5),
+            (generators::cycle(9), 3, 3),
+            (generators::grid(3, 4), 5, 0),
+            (generators::gnp_connected(14, 0.2, 3).unwrap(), 0, 7),
+        ] {
+            let n = g.node_count() as u64;
+            let scheme = lambda_arb::construct_with_coordinator(
+                &g,
+                coordinator,
+                rn_graph::algorithms::ReductionOrder::Forward,
+            )
+            .unwrap();
+            let nodes = ArbNode::network(scheme.labeling(), source, MSG);
+            let mut sim = Simulator::new(g, nodes).without_trace();
+            let audit = rn_radio::audit_wake_hints(&mut sim, 16 * (n + 2)).expect("hints hold");
+            assert!(audit.hints_audited > 0);
+        }
+    }
+
+    #[test]
+    fn completion_knowledge_is_predicted_exactly() {
+        // Coordinator far from, equal to, and next to the source.
+        for (g, coordinator, source) in [
+            (generators::path(8), 0, 5),
+            (generators::cycle(9), 3, 3),
+            (generators::star(7), 0, 3),
+            (generators::gnp_connected(14, 0.2, 3).unwrap(), 0, 7),
+        ] {
+            let n = g.node_count();
+            let scheme = lambda_arb::construct_with_coordinator(
+                &g,
+                coordinator,
+                rn_graph::algorithms::ReductionOrder::Forward,
+            )
+            .unwrap();
+            let nodes = ArbNode::network(scheme.labeling(), source, MSG);
+            let mut sim = Simulator::new(g, nodes).without_trace();
+            let mut predicted: Vec<Option<u64>> = vec![None; n];
+            let mut known: Vec<Option<u64>> = vec![None; n];
+            for round in 1..=16 * (n as u64 + 2) {
+                sim.step_round();
+                for (v, node) in sim.nodes().iter().enumerate() {
+                    if predicted[v].is_none() {
+                        predicted[v] = node.steps_until_knows_completion().map(|s| round + s);
+                    }
+                    if known[v].is_none() && node.knows_completion() {
+                        known[v] = Some(round);
+                    }
+                }
+            }
+            assert!(known.iter().all(Option::is_some));
+            assert_eq!(
+                predicted, known,
+                "coordinator {coordinator}, source {source}"
+            );
+        }
     }
 
     #[test]

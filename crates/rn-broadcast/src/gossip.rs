@@ -49,9 +49,14 @@ impl GossipNode {
     }
 
     /// Whether this node holds **all** n messages (the gossip completion
-    /// notion).
+    /// notion). O(1).
     pub fn holds_all_messages(&self) -> bool {
         self.0.holds_all_messages()
+    }
+
+    /// How many of the n messages this node holds. O(1).
+    pub fn held_count(&self) -> usize {
+        self.0.held_count()
     }
 
     /// The payloads this node currently holds, indexed by source node.

@@ -63,6 +63,9 @@ pub struct MultiNode {
     /// Per-source payloads this node holds; entry `j` is `Some(µ_j)` once
     /// message j has been received (or originated here).
     received: Vec<Option<SourceMessage>>,
+    /// How many entries of `received` are `Some`: makes
+    /// [`holds_all_messages`](Self::holds_all_messages) O(1).
+    held: usize,
     /// The bundle, once assembled (coordinator) or heard (everyone else):
     /// the broadcast phase's "sourcemsg".
     bundle: Option<MessageBundle>,
@@ -116,6 +119,7 @@ impl MultiNode {
                     local_round: 0,
                     next_slot: 0,
                     received: vec![None; k],
+                    held: 0,
                     bundle: None,
                     informed_age: None,
                     last_bundle_transmit_age: None,
@@ -124,7 +128,7 @@ impl MultiNode {
             })
             .collect();
         for (j, &s) in sources.iter().enumerate() {
-            nodes[s].received[j] = Some(payloads[j]);
+            nodes[s].store(j, payloads[j]);
         }
         for slot in plan.slots() {
             nodes[slot.node].slots.push((slot.round, slot.payload));
@@ -138,9 +142,23 @@ impl MultiNode {
     }
 
     /// Whether this node holds **all** k messages (the multi-broadcast
-    /// completion notion).
+    /// completion notion). O(1).
     pub fn holds_all_messages(&self) -> bool {
-        self.received.iter().all(Option::is_some)
+        self.held == self.received.len()
+    }
+
+    /// How many of the k messages this node holds. O(1).
+    pub fn held_count(&self) -> usize {
+        self.held
+    }
+
+    /// Stores payload `p` as message `j` unless the node already holds one.
+    fn store(&mut self, j: usize, p: SourceMessage) {
+        let slot = &mut self.received[j];
+        if slot.is_none() {
+            *slot = Some(p);
+            self.held += 1;
+        }
     }
 
     /// The payloads this node currently holds, indexed by source index.
@@ -163,10 +181,7 @@ impl MultiNode {
     /// Stores every payload of a bundle (idempotent).
     fn absorb_bundle(&mut self, bundle: &MessageBundle) {
         for &(j, p) in bundle.iter() {
-            let slot = &mut self.received[j as usize];
-            if slot.is_none() {
-                *slot = Some(p);
-            }
+            self.store(j as usize, p);
         }
     }
 
@@ -262,10 +277,7 @@ impl RadioNode for MultiNode {
             } => {
                 // Opportunistic absorption; never touches the Algorithm B
                 // state (the broadcast phase has not started).
-                let slot = &mut self.received[*source_index as usize];
-                if slot.is_none() {
-                    *slot = Some(*payload);
-                }
+                self.store(*source_index as usize, *payload);
             }
             MultiMessage::Token(token) => {
                 // The walking token of a DFS plan: absorb everything it

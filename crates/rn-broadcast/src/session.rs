@@ -18,8 +18,12 @@
 //!   ([`rn_radio::RoundScratch`]) from a pool on the session, so repeat and
 //!   batch runs amortize per-round memory exactly like they amortize the
 //!   labeling — and [`SessionBuilder::engine`] can replay any workload on the
-//!   retained listener-centric reference engine (or the event-driven
-//!   frontier engine) for equivalence checking.
+//!   retained listener-centric reference engine (or the per-round
+//!   transmitter-centric engine) instead of the default event-driven
+//!   frontier engine, for equivalence checking;
+//! * completion bookkeeping is receiver-driven: after each round only the
+//!   nodes that decoded a message are examined, so a run costs O(frontier)
+//!   per round end to end.
 //!
 //! ```
 //! use rn_broadcast::session::{RunSpec, Scheme, Session};
@@ -62,6 +66,8 @@ use rn_radio::{
     RunCounters, Simulator, StopCondition, TraceShape, WakeHintAudit, WakeHintViolation,
 };
 use rn_telemetry::{RunMetrics, SpanRecord, SpanTimer};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
 
 /// Which labeling scheme / broadcast algorithm pair a session executes.
@@ -312,10 +318,11 @@ pub enum TracePolicy {
     #[default]
     Recorded,
     /// Skip trace recording (saves memory and time on large batch runs).
-    /// Informed rounds are then tracked from node state after each round —
-    /// identical for every scheme in this crate — and the statistics carry
-    /// only the round count, whether or not the run is instrumented (the
-    /// counters of [`Session::run_instrumented`] stay in its `RunMetrics`).
+    /// Informed rounds are then tracked from the state of the nodes that
+    /// decoded a message each round — identical for every scheme in this
+    /// crate — and the statistics carry only the round count, whether or
+    /// not the run is instrumented (the counters of
+    /// [`Session::run_instrumented`] stay in its `RunMetrics`).
     Disabled,
 }
 
@@ -590,12 +597,12 @@ impl SessionBuilder {
     }
 
     /// Selects the simulator delivery engine (default
-    /// [`Engine::TransmitterCentric`]). [`Engine::ListenerCentric`] replays
-    /// runs on the retained reference implementation, and
-    /// [`Engine::EventDriven`] drives only the wake-hint frontier and (with
-    /// tracing off) elides provably-quiet spans; the equivalence suite uses
-    /// the reference to pin down that all three engines produce identical
-    /// reports.
+    /// [`Engine::EventDriven`], which drives only the wake-hint frontier and,
+    /// with tracing off, elides provably quiet spans).
+    /// [`Engine::TransmitterCentric`] steps every node every round, and
+    /// [`Engine::ListenerCentric`] replays runs on the retained reference
+    /// implementation; the equivalence suite uses the reference to pin down
+    /// that all three engines produce identical reports.
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
@@ -1124,9 +1131,9 @@ impl Session {
                 let nodes = clone_or_rebuild(template, source, message, prepared.spec, || {
                     BNode::network(labeling, source, message)
                 });
-                let run = Execution::new(self, nodes, record, !record)
+                let mut run = Execution::new(self, nodes, record)
                     .instrumented(instrument)
-                    .run(stop, BNode::is_informed, |_, _| false);
+                    .run(stop, BNode::is_informed, &mut ());
                 counters = run.counters;
                 run.fill(&mut report, record, |m| matches!(m, BMessage::Data(_)));
                 report.completion_round = verify::completion_round(&report.informed_rounds);
@@ -1138,21 +1145,19 @@ impl Session {
                 let nodes = clone_or_rebuild(template, source, message, prepared.spec, || {
                     BackNode::network(labeling, source, message)
                 });
-                let mut ack_round = None;
-                let run = Execution::new(self, nodes, record, !record)
+                let mut ack = AckObserver {
+                    source,
+                    ack_round: None,
+                };
+                let mut run = Execution::new(self, nodes, record)
                     .instrumented(instrument)
-                    .run(stop, BackNode::is_informed, |sim, round| {
-                        if ack_round.is_none() && sim.nodes()[source].source_received_ack() {
-                            ack_round = Some(round);
-                        }
-                        false
-                    });
+                    .run(stop, BackNode::is_informed, &mut ack);
                 counters = run.counters;
                 run.fill(&mut report, record, |m| {
                     matches!(m.payload, TaggedPayload::Data(_))
                 });
                 report.completion_round = verify::completion_round(&report.informed_rounds);
-                report.ack_round = ack_round;
+                report.ack_round = ack.ack_round;
                 if want_shape {
                     shape = Some(run.sim.trace().shape());
                 }
@@ -1161,36 +1166,20 @@ impl Session {
                 let nodes = clone_or_rebuild(template, source, message, prepared.spec, || {
                     ArbNode::network(labeling, source, message)
                 });
-                let mut completion = None;
-                let mut common_knowledge = None;
-                let run = Execution::new(self, nodes, record, true)
+                let mut arb = ArbObserver::new(nodes.len(), message, &self.faults);
+                let mut run = Execution::new(self, nodes, record)
                     .instrumented(instrument)
                     .run(
                         stop,
                         |node: &ArbNode| node.learned_message().is_some(),
-                        |sim, round| {
-                            if completion.is_none()
-                                && sim
-                                    .nodes()
-                                    .iter()
-                                    .all(|n| n.learned_message() == Some(message))
-                            {
-                                completion = Some(round);
-                            }
-                            if common_knowledge.is_none()
-                                && sim.nodes().iter().all(ArbNode::knows_completion)
-                            {
-                                common_knowledge = Some(round);
-                            }
-                            completion.is_some() && common_knowledge.is_some()
-                        },
+                        &mut arb,
                     );
                 counters = run.counters;
                 // B_arb relays µ inside several message kinds, so informed
                 // rounds come from node state rather than a payload pattern.
                 run.fill_from_nodes(&mut report);
-                report.completion_round = completion;
-                report.common_knowledge_round = common_knowledge;
+                report.completion_round = arb.completion;
+                report.common_knowledge_round = arb.common_knowledge;
                 if want_shape {
                     shape = Some(run.sim.trace().shape());
                 }
@@ -1199,11 +1188,9 @@ impl Session {
                 let nodes = clone_or_rebuild(template, source, message, prepared.spec, || {
                     SlottedNode::network(labeling, source, message)
                 });
-                let run = Execution::new(self, nodes, record, !record)
+                let mut run = Execution::new(self, nodes, record)
                     .instrumented(instrument)
-                    .run(stop, SlottedNode::is_informed, |sim, _| {
-                        sim.nodes().iter().all(SlottedNode::is_informed)
-                    });
+                    .run(stop, SlottedNode::is_informed, &mut AllInformed);
                 counters = run.counters;
                 run.fill(&mut report, record, |_| true);
                 report.completion_round = verify::completion_round(&report.informed_rounds);
@@ -1215,9 +1202,9 @@ impl Session {
                 let nodes = clone_or_rebuild(template, source, message, prepared.spec, || {
                     DelayRelayNode::network(labeling, source, message)
                 });
-                let run = Execution::new(self, nodes, record, !record)
+                let mut run = Execution::new(self, nodes, record)
                     .instrumented(instrument)
-                    .run(stop, DelayRelayNode::is_informed, |_, _| false);
+                    .run(stop, DelayRelayNode::is_informed, &mut ());
                 counters = run.counters;
                 run.fill(&mut report, record, |m| matches!(m, BMessage::Data(_)));
                 report.completion_round = verify::completion_round(&report.informed_rounds);
@@ -1249,7 +1236,7 @@ impl Session {
                     nodes,
                     mscheme.sources().to_vec(),
                     MultiNode::has_message,
-                    MultiNode::holds_all_messages,
+                    MultiNode::held_count,
                 );
             }
             PreparedKind::Gossip {
@@ -1272,7 +1259,7 @@ impl Session {
                     nodes,
                     self.sources.clone(),
                     GossipNode::has_message,
-                    GossipNode::holds_all_messages,
+                    GossipNode::held_count,
                 );
             }
         }
@@ -1328,8 +1315,9 @@ impl Session {
     /// Runs a multi-message (collection + bundle broadcast) execution and
     /// fills the report: the shared tail of the `multi_lambda` and gossip
     /// arms, whose node types differ only in the collection plan they were
-    /// built from. `has_message(node, j)` and `holds_all(node)` expose the
-    /// per-node payload state of the concrete protocol.
+    /// built from. `has_message(node, j)` and `held(node)` (an O(1) count
+    /// of the messages held) expose the per-node payload state of the
+    /// concrete protocol.
     #[allow(clippy::too_many_arguments)]
     fn run_bundle_protocol<N: RadioNode>(
         &self,
@@ -1340,40 +1328,24 @@ impl Session {
         instrument: bool,
         nodes: Vec<N>,
         sources: Vec<NodeId>,
-        has_message: impl Fn(&N, usize) -> bool,
-        holds_all: impl Fn(&N) -> bool + Copy,
+        has_message: fn(&N, usize) -> bool,
+        held: fn(&N) -> usize,
     ) -> (Option<TraceShape>, Option<RunCounters>) {
         let k = sources.len();
         report.source = sources[0];
         report.sources = sources.clone();
-        // Per-message completion: the round by which every node holds
-        // message j. Seeded for the degenerate single-node case where a
-        // message is universal at round 0.
-        let mut msg_completion: Vec<Option<u64>> = (0..k)
-            .map(|j| nodes.iter().all(|nd| has_message(nd, j)).then_some(0))
-            .collect();
-        let run = Execution::new(self, nodes, record, true)
+        let mut bundle = BundleObserver::new(nodes.len(), k, has_message, held);
+        let mut run = Execution::new(self, nodes, record)
             .instrumented(instrument)
-            .run(stop, holds_all, |sim, round| {
-                let mut all_complete = true;
-                for (j, slot) in msg_completion.iter_mut().enumerate() {
-                    if slot.is_none() {
-                        if sim.nodes().iter().all(|nd| has_message(nd, j)) {
-                            *slot = Some(round);
-                        } else {
-                            all_complete = false;
-                        }
-                    }
-                }
-                all_complete
-            });
+            .run(stop, |node: &N| held(node) == k, &mut bundle);
         // "Informed" for a multi-message run means holding all k messages,
         // which no payload pattern in the trace captures (relays, tokens,
         // bundles and overhearing all contribute), so the rounds come from
         // node state like B_arb's.
         run.fill_from_nodes(report);
         report.completion_round = verify::completion_round(&report.informed_rounds);
-        report.message_completion_rounds = Some(sources.into_iter().zip(msg_completion).collect());
+        report.message_completion_rounds =
+            Some(sources.into_iter().zip(bundle.message_completion).collect());
         (want_shape.then(|| run.sim.trace().shape()), run.counters)
     }
 }
@@ -1579,17 +1551,11 @@ fn clone_or_rebuild<N: Clone>(
 }
 
 /// One simulation in flight: wires the online informed-round tracking and the
-/// per-scheme observation hook into `Simulator::run_until`.
+/// scheme's [`Observer`] into `Simulator::run_until`.
 struct Execution<'g, N: RadioNode> {
     session: &'g Session,
     nodes: Vec<N>,
     record: bool,
-    /// Whether to track informed rounds from node state after each round.
-    /// Only needed when the trace (the usual source of informed rounds) is
-    /// disabled, or for protocols whose payloads are not a simple message
-    /// pattern (B_arb) — skipping it keeps the O(n)-per-round scan off the
-    /// default hot path.
-    track_online: bool,
     /// Whether to install a [`CounterSink`] on the simulator. Off (the
     /// default) for every plain run, so the engines' hot paths never pay
     /// for metric assembly; [`Session::run_instrumented`] turns it on.
@@ -1606,13 +1572,294 @@ struct Finished<N: RadioNode> {
     counters: Option<RunCounters>,
 }
 
+/// A scheme's completion bookkeeping, fed only by the nodes that decoded a
+/// message each round ([`Simulator::receivers`]). Every protocol of this
+/// crate changes its informed / holds-message / heard-the-ack predicates
+/// only in `receive(Some(_))`, so the receivers are the complete set of
+/// nodes whose progress can move (λ_arb's step-driven exceptions are
+/// handled by [`ArbObserver`]). Keeps the session round loop O(receivers)
+/// instead of O(n) (or O(n·k)) per round.
+trait Observer<N> {
+    /// Whether receiver `v` can still change this observer's state, judged
+    /// from the observer's own bookkeeping without examining the node.
+    fn wants(&self, _v: NodeId) -> bool {
+        false
+    }
+
+    /// Examines node `v` after `round`: every node once at round 0, then
+    /// each round's receivers that the informed tracking or
+    /// [`wants`](Self::wants) still cares about.
+    fn examine(&mut self, _v: NodeId, _node: &N, _round: u64) {}
+
+    /// Closes `round` once its receivers are examined; `informed` is the
+    /// number of informed nodes. Nodes examined here are added to
+    /// `visits`. Returning `true` stops the run.
+    fn end_round(
+        &mut self,
+        _nodes: &[N],
+        _round: u64,
+        _informed: usize,
+        _visits: &mut u64,
+    ) -> bool {
+        false
+    }
+}
+
+/// Informed tracking only (λ, the 1-bit schemes).
+impl<N> Observer<N> for () {}
+
+/// Stops once every node is informed (the slotted baselines).
+struct AllInformed;
+
+impl<N> Observer<N> for AllInformed {
+    fn end_round(&mut self, nodes: &[N], _round: u64, informed: usize, _visits: &mut u64) -> bool {
+        informed == nodes.len()
+    }
+}
+
+/// λ_ack: the round in which the source first heard an acknowledgement.
+struct AckObserver {
+    source: NodeId,
+    ack_round: Option<u64>,
+}
+
+impl Observer<BackNode> for AckObserver {
+    fn wants(&self, v: NodeId) -> bool {
+        v == self.source && self.ack_round.is_none()
+    }
+
+    fn examine(&mut self, v: NodeId, node: &BackNode, round: u64) {
+        if self.wants(v) && node.source_received_ack() {
+            self.ack_round = Some(round);
+        }
+    }
+}
+
+/// λ_arb: the round by which every node learned µ, and the round by which
+/// every node knew it ([`ArbNode::knows_completion`]).
+///
+/// Knowing completion is the end of a countdown, which ticks in `step`
+/// without any reception; but the countdown's length is fixed by the time
+/// it can first be predicted ([`ArbNode::steps_until_knows_completion`]),
+/// and that happens on a reception. A fault-free run steps every node every
+/// round, so each node's predicted round is exact and the observer only
+/// takes the maximum. Under a fault plan an inert node's countdown stalls,
+/// so each prediction is checked when it falls due and renewed if the node
+/// is late.
+struct ArbObserver {
+    message: SourceMessage,
+    /// Nodes whose learned message is µ.
+    learned: BitSet,
+    learned_count: usize,
+    /// The coordinator between hearing a phase's terminating ack and its
+    /// next `step`, which may replace its learned message without a
+    /// reception; with the round it was registered in.
+    advancing: Option<(NodeId, u64)>,
+    /// Nodes whose round of knowing completion is predicted.
+    predicted: BitSet,
+    predicted_count: usize,
+    /// Fault-free: the latest predicted round.
+    last_known: u64,
+    /// Under a fault plan: the predictions still to check, as a min-heap of
+    /// `(round, node)`.
+    checks: Option<BinaryHeap<Reverse<(u64, NodeId)>>>,
+    /// Under a fault plan: how many nodes were seen knowing.
+    knowing: usize,
+    completion: Option<u64>,
+    common_knowledge: Option<u64>,
+}
+
+impl ArbObserver {
+    fn new(n: usize, message: SourceMessage, faults: &FaultPlan) -> Self {
+        ArbObserver {
+            message,
+            learned: BitSet::new(n),
+            learned_count: 0,
+            advancing: None,
+            predicted: BitSet::new(n),
+            predicted_count: 0,
+            last_known: 0,
+            checks: (!faults.is_empty()).then(BinaryHeap::new),
+            knowing: 0,
+            completion: None,
+            common_knowledge: None,
+        }
+    }
+
+    fn note_learned(&mut self, v: NodeId, node: &ArbNode) {
+        if !self.learned.get(v) && node.learned_message() == Some(self.message) {
+            self.learned.set(v);
+            self.learned_count += 1;
+        }
+    }
+}
+
+impl Observer<ArbNode> for ArbObserver {
+    fn wants(&self, v: NodeId) -> bool {
+        !self.learned.get(v) || !self.predicted.get(v)
+    }
+
+    fn examine(&mut self, v: NodeId, node: &ArbNode, round: u64) {
+        self.note_learned(v, node);
+        if !self.predicted.get(v) {
+            if let Some(steps) = node.steps_until_knows_completion() {
+                self.predicted.set(v);
+                self.predicted_count += 1;
+                match &mut self.checks {
+                    None => self.last_known = self.last_known.max(round + steps),
+                    Some(due) => due.push(Reverse((round + steps, v))),
+                }
+            }
+        }
+        if node.phase_advance_pending() {
+            self.advancing = Some((v, round));
+        }
+    }
+
+    fn end_round(
+        &mut self,
+        nodes: &[ArbNode],
+        round: u64,
+        _informed: usize,
+        visits: &mut u64,
+    ) -> bool {
+        let n = nodes.len();
+        if let Some((c, since)) = self.advancing {
+            if since < round {
+                *visits += 1;
+                self.note_learned(c, &nodes[c]);
+                if !nodes[c].phase_advance_pending() {
+                    self.advancing = None;
+                }
+            }
+        }
+        if self.completion.is_none() && self.learned_count == n {
+            self.completion = Some(round);
+        }
+        let all_know = match &mut self.checks {
+            None => self.predicted_count == n && round >= self.last_known,
+            Some(due) => {
+                while let Some(&Reverse((at, v))) = due.peek() {
+                    if at > round {
+                        break;
+                    }
+                    due.pop();
+                    *visits += 1;
+                    match nodes[v].steps_until_knows_completion() {
+                        Some(0) => self.knowing += 1,
+                        // Late (a fault kept it from stepping): check again
+                        // when its remaining countdown could end.
+                        Some(steps) => due.push(Reverse((round + steps, v))),
+                        None => unreachable!("a started countdown stays predictable"),
+                    }
+                }
+                self.knowing == n
+            }
+        };
+        if self.common_knowledge.is_none() && all_know {
+            debug_assert!(
+                nodes.iter().all(ArbNode::knows_completion),
+                "completion-knowledge prediction ran ahead of the nodes"
+            );
+            self.common_knowledge = Some(round);
+        }
+        self.completion.is_some() && self.common_knowledge.is_some()
+    }
+}
+
+/// `multi_lambda` and gossip: the round by which every node held each
+/// message, from per-message holder counts.
+struct BundleObserver<N> {
+    k: usize,
+    has_message: fn(&N, usize) -> bool,
+    held: fn(&N) -> usize,
+    /// Bit `v·k + j`: node `v` is counted as a holder of message `j`.
+    seen: BitSet,
+    /// Messages counted per node (equal to `held` once caught up).
+    seen_count: Vec<u32>,
+    holders: Vec<u32>,
+    /// Messages some node still lacks.
+    incomplete: usize,
+    message_completion: Vec<Option<u64>>,
+}
+
+impl<N> BundleObserver<N> {
+    fn new(n: usize, k: usize, has_message: fn(&N, usize) -> bool, held: fn(&N) -> usize) -> Self {
+        BundleObserver {
+            k,
+            has_message,
+            held,
+            seen: BitSet::new(n * k),
+            seen_count: vec![0; n],
+            holders: vec![0; k],
+            incomplete: k,
+            message_completion: vec![None; k],
+        }
+    }
+}
+
+impl<N> Observer<N> for BundleObserver<N> {
+    fn wants(&self, v: NodeId) -> bool {
+        (self.seen_count[v] as usize) < self.k
+    }
+
+    fn examine(&mut self, v: NodeId, node: &N, round: u64) {
+        let held = (self.held)(node);
+        let n = self.seen_count.len() as u32;
+        // Scan for the new messages only when the O(1) count moved, and
+        // stop as soon as all of them are found.
+        let mut j = 0;
+        while (self.seen_count[v] as usize) < held && j < self.k {
+            let bit = v * self.k + j;
+            if !self.seen.get(bit) && (self.has_message)(node, j) {
+                self.seen.set(bit);
+                self.seen_count[v] += 1;
+                self.holders[j] += 1;
+                if self.holders[j] == n {
+                    // Round 0 covers a message every node starts with.
+                    self.message_completion[j] = Some(round);
+                    self.incomplete -= 1;
+                }
+            }
+            j += 1;
+        }
+    }
+
+    fn end_round(
+        &mut self,
+        _nodes: &[N],
+        _round: u64,
+        _informed: usize,
+        _visits: &mut u64,
+    ) -> bool {
+        self.incomplete == 0
+    }
+}
+
+/// A fixed-size bitset: the observers' per-node (and, for the bundle
+/// schemes, per node × message) flags at one bit each.
+struct BitSet(Vec<u64>);
+
+impl BitSet {
+    fn new(bits: usize) -> Self {
+        BitSet(vec![0; bits.div_ceil(64)])
+    }
+
+    fn get(&self, i: usize) -> bool {
+        self.0[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    fn set(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+}
+
 impl<'g, N: RadioNode> Execution<'g, N> {
-    fn new(session: &'g Session, nodes: Vec<N>, record: bool, track_online: bool) -> Self {
+    fn new(session: &'g Session, nodes: Vec<N>, record: bool) -> Self {
         Execution {
             session,
             nodes,
             record,
-            track_online,
             instrument: false,
         }
     }
@@ -1623,10 +1870,13 @@ impl<'g, N: RadioNode> Execution<'g, N> {
         self
     }
 
-    /// Runs to the stop condition. After every round, `informed` marks newly
-    /// informed nodes and `observe` (receiving the simulator and the current
-    /// round) updates scheme-specific measurements; returning `true` from
-    /// `observe` stops the run early.
+    /// Runs to the stop condition. Every node is examined once up front
+    /// (the source(s) holding their message(s) get informed round 0, as
+    /// the trace-based accounting credits the source); after each round
+    /// only that round's receivers are, by `informed` (to record newly
+    /// informed nodes) and by `observer`, whose
+    /// [`end_round`](Observer::end_round) can stop the run early. The
+    /// number of nodes examined lands in the counters' `observer_visits`.
     ///
     /// The simulator's per-round scratch is borrowed from the session's pool
     /// before the run and returned afterwards, so repeated and batched runs
@@ -1635,7 +1885,7 @@ impl<'g, N: RadioNode> Execution<'g, N> {
         self,
         stop: StopCondition,
         informed: impl Fn(&N) -> bool,
-        mut observe: impl FnMut(&Simulator<N>, u64) -> bool,
+        observer: &mut impl Observer<N>,
     ) -> Finished<N> {
         let pooled = self
             .session
@@ -1645,17 +1895,17 @@ impl<'g, N: RadioNode> Execution<'g, N> {
             .pop();
         let scratch_reused = pooled.is_some();
         let scratch = pooled.unwrap_or_default();
-        // Nodes that are informed before round 1 — the source(s) holding
-        // their message(s) from the start — get round 0, exactly as the
-        // trace-based accounting credits the source.
-        let mut online = if self.track_online {
-            self.nodes
-                .iter()
-                .map(|node| informed(node).then_some(0))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let mut online: Vec<Option<u64>> = vec![None; self.nodes.len()];
+        let mut informed_count = 0usize;
+        let mut visits = 0u64;
+        for (v, node) in self.nodes.iter().enumerate() {
+            visits += 1;
+            if informed(node) {
+                online[v] = Some(0);
+                informed_count += 1;
+            }
+            observer.examine(v, node, 0);
+        }
         let mut sim = Simulator::new(Arc::clone(&self.session.graph), self.nodes)
             .with_engine(self.session.engine)
             .with_scratch(scratch)
@@ -1668,24 +1918,33 @@ impl<'g, N: RadioNode> Execution<'g, N> {
             sink.on_scratch(scratch_reused);
             sim = sim.with_metrics(Box::new(sink));
         }
-        let track = self.track_online;
         let outcome = sim.run_until(stop, |s| {
             let round = s.current_round();
-            if track {
-                for (v, node) in s.nodes().iter().enumerate() {
-                    if online[v].is_none() && informed(node) {
-                        online[v] = Some(round);
-                    }
+            let nodes = s.nodes();
+            for &v in s.receivers() {
+                let fresh = online[v].is_none();
+                if !fresh && !observer.wants(v) {
+                    continue;
                 }
+                visits += 1;
+                let node = &nodes[v];
+                if fresh && informed(node) {
+                    online[v] = Some(round);
+                    informed_count += 1;
+                }
+                observer.examine(v, node, round);
             }
-            observe(s, round)
+            observer.end_round(nodes, round, informed_count, &mut visits)
         });
         self.session
             .scratch_pool
             .lock()
             .expect("scratch pool not poisoned")
             .push(sim.take_scratch());
-        let counters = sim.metrics_counters();
+        let counters = sim.metrics_counters().map(|c| RunCounters {
+            observer_visits: visits,
+            ..c
+        });
         Finished {
             sim,
             online_informed: online,
@@ -1700,7 +1959,7 @@ impl<N: RadioNode> Finished<N> {
     /// informed rounds come from the trace through the scheme's payload
     /// predicate; without one they come from the online node state, and the
     /// statistics carry only the round count.
-    fn fill(&self, report: &mut RunReport, record: bool, is_payload: impl Fn(&N::Msg) -> bool) {
+    fn fill(&mut self, report: &mut RunReport, record: bool, is_payload: impl Fn(&N::Msg) -> bool) {
         if record {
             report.informed_rounds = verify::first_payload_rounds(
                 self.sim.trace(),
@@ -1710,7 +1969,7 @@ impl<N: RadioNode> Finished<N> {
             );
             report.stats = ExecutionStats::from_trace(self.sim.trace());
         } else {
-            report.informed_rounds = self.online_informed.clone();
+            report.informed_rounds = std::mem::take(&mut self.online_informed);
             report.stats = self.traceless_stats();
         }
         report.rounds_executed = self.rounds_executed;
@@ -1718,8 +1977,8 @@ impl<N: RadioNode> Finished<N> {
 
     /// Like [`fill`](Self::fill), but always takes informed rounds from node
     /// state (for protocols whose payloads are not a simple message pattern).
-    fn fill_from_nodes(&self, report: &mut RunReport) {
-        report.informed_rounds = self.online_informed.clone();
+    fn fill_from_nodes(&mut self, report: &mut RunReport) {
+        report.informed_rounds = std::mem::take(&mut self.online_informed);
         if self.sim.trace().is_empty() {
             report.stats = self.traceless_stats();
         } else {

@@ -13,7 +13,7 @@
 //! sweep smoke --verify-static        # certify every point statically first
 //! sweep smoke --faults               # add the default fault presets as an axis
 //! sweep smoke --faults crash:20,jam:2  # or a custom preset list
-//! sweep smoke --engine event-driven  # run on an alternative delivery engine
+//! sweep smoke --engine transmitter-centric  # run on an alternative delivery engine
 //! sweep smoke --metrics sweep.jsonl  # stream per-run telemetry to a JSONL sidecar
 //! ```
 //!
@@ -150,8 +150,8 @@ fn print_help() {
          \t--faults [LIST]  add fault presets as a sweep axis; LIST is comma-separated\n\
          \t              (none, crash:P, jam:K, latewake:P — P a percentage, K a node count);\n\
          \t              a bare --faults uses the default set none,crash:15,jam:1,latewake:25\n\
-         \t--engine NAME simulator delivery engine: transmitter-centric (default),\n\
-         \t              listener-centric, or event-driven; results are engine-independent\n\
+         \t--engine NAME simulator delivery engine: event-driven (default),\n\
+         \t              transmitter-centric, or listener-centric; results are engine-independent\n\
          \t--list        list the named sweeps"
     );
 }

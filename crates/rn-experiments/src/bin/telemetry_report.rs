@@ -124,6 +124,8 @@ impl Accumulated {
         take("elided_spans", false, &mut self.counters.elided_spans);
         take("scratch_reused", false, &mut self.counters.scratch_reused);
         take("scratch_fresh", false, &mut self.counters.scratch_fresh);
+        take("node_steps", false, &mut self.counters.node_steps);
+        take("observer_visits", false, &mut self.counters.observer_visits);
         self.saw_counters = true;
     }
 }
@@ -236,6 +238,8 @@ fn render_report(acc: &Accumulated, prometheus: bool) {
             ("elided_spans", c.elided_spans),
             ("scratch_reused", c.scratch_reused),
             ("scratch_fresh", c.scratch_fresh),
+            ("node_steps", c.node_steps),
+            ("observer_visits", c.observer_visits),
         ] {
             t.push_row(vec![name.to_string(), value.to_string()]);
         }

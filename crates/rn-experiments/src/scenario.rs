@@ -84,7 +84,7 @@ pub struct SweepSpec {
     /// schemes are outside the analyzer's scope and are skipped.
     pub verify_static: bool,
     /// Simulator delivery engine every run executes on (default
-    /// [`Engine::TransmitterCentric`]). The engine never changes the
+    /// [`Engine::EventDriven`]). The engine never changes the
     /// physics, only how fast rounds are driven, so reports produced under
     /// different engines must be identical — the CI equivalence gate runs
     /// the same sweep on two engines and `cmp`s the reports byte for byte

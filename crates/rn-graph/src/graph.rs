@@ -242,6 +242,16 @@ impl Graph {
 pub struct GraphBuilder {
     adj: Vec<Vec<NodeId>>,
     edge_count: usize,
+    /// The duplicate check's row stamp: `mark[w] == stamp` iff `w` is in the
+    /// row of `marked_row`, the `u` of the latest [`add_edge`] call.
+    /// Generators add edges row by row, so re-marking when `u` changes
+    /// costs `O(deg(u))` once per run of calls and each check is `O(1)` —
+    /// never more than scanning the row on every call.
+    ///
+    /// [`add_edge`]: GraphBuilder::add_edge
+    mark: Vec<u32>,
+    stamp: u32,
+    marked_row: Option<NodeId>,
 }
 
 impl GraphBuilder {
@@ -250,7 +260,27 @@ impl GraphBuilder {
         GraphBuilder {
             adj: vec![Vec::new(); n],
             edge_count: 0,
+            mark: vec![0; n],
+            stamp: 0,
+            marked_row: None,
         }
+    }
+
+    /// Whether `v` is already in `u`'s row, re-marking the row stamp first
+    /// if `u` is not the marked row. Requires `u` in range.
+    fn row_contains(&mut self, u: NodeId, v: NodeId) -> bool {
+        if self.marked_row != Some(u) {
+            if self.stamp == u32::MAX {
+                self.mark.fill(0);
+                self.stamp = 0;
+            }
+            self.stamp += 1;
+            for &w in &self.adj[u] {
+                self.mark[w] = self.stamp;
+            }
+            self.marked_row = Some(u);
+        }
+        self.mark[v] == self.stamp
     }
 
     /// Number of nodes the builder was created with.
@@ -293,7 +323,7 @@ impl GraphBuilder {
         if u == v {
             return Err(GraphError::SelfLoop { node: u });
         }
-        if self.adj[u].contains(&v) {
+        if self.row_contains(u, v) {
             return Err(GraphError::DuplicateEdge { u, v });
         }
         let total_degree = 2 * (self.edge_count + 1);
@@ -302,6 +332,7 @@ impl GraphBuilder {
         }
         self.adj[u].push(v);
         self.adj[v].push(u);
+        self.mark[v] = self.stamp; // `u` is the marked row
         self.edge_count += 1;
         Ok(self)
     }
@@ -456,6 +487,31 @@ mod tests {
             b.add_edge(1, 0).unwrap_err(),
             GraphError::DuplicateEdge { u: 1, v: 0 }
         );
+    }
+
+    #[test]
+    fn builder_duplicate_check_matches_a_set_oracle_under_interleaved_rows() {
+        // Random endpoints switch the marked row on almost every call, the
+        // worst case for the row stamp; every answer must match a plain set.
+        let n = 12;
+        let mut b = GraphBuilder::new(n);
+        let mut edges = std::collections::HashSet::new();
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        for _ in 0..2000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let (u, v) = ((x % n as u64) as usize, ((x >> 32) % n as u64) as usize);
+            let expected = if u == v {
+                Err(GraphError::SelfLoop { node: u })
+            } else if !edges.insert((u.min(v), u.max(v))) {
+                Err(GraphError::DuplicateEdge { u, v })
+            } else {
+                Ok(())
+            };
+            assert_eq!(b.add_edge(u, v).map(|_| ()), expected, "edge ({u}, {v})");
+        }
+        assert_eq!(b.edge_count(), edges.len());
     }
 
     #[test]

@@ -53,6 +53,11 @@ pub struct RoundScratch {
     /// Index of `v`'s message in the simulator's per-round transmitted
     /// message buffer, valid only under the current `tx_stamp`.
     pub(crate) tx_index: Vec<u32>,
+    /// Nodes that decoded a message (`receive(Some(_))`) in the round just
+    /// executed, in the engine's delivery order. Every engine fills it in
+    /// both trace modes; it is what lets harness observers track progress
+    /// over the receivers instead of rescanning all `n` nodes per round.
+    pub(crate) receivers: Vec<NodeId>,
     /// Current round's generation stamp. Strictly increases every round and
     /// is never reset, so entries written under earlier generations — in this
     /// simulation or a previous one sharing the scratch — are dead on arrival.

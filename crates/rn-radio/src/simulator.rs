@@ -18,8 +18,9 @@
 //!
 //! The paper's protocols produce long executions in which most rounds have
 //! very few transmitters (often one, frequently zero in quiet tails), so the
-//! default engine resolves delivery from the transmitters outward rather
-//! than by scanning every listener's neighbourhood:
+//! per-round [`Engine::TransmitterCentric`] engine resolves delivery from the
+//! transmitters outward rather than by scanning every listener's
+//! neighbourhood (the event-driven default below shares its mark pass):
 //!
 //! 1. **Decide** — every node takes its [`RadioNode::step`]; transmitters
 //!    are collected in the same pass (no separate counting sweep), each
@@ -36,7 +37,8 @@
 //!    *by reference* (no clone; the trace, if recording, makes the only
 //!    copy), any other listener observes `None`, and the collision trace
 //!    event reads its neighbour count straight out of `hit_count` — the
-//!    delivery pass already computed it.
+//!    delivery pass already computed it. Every node that decodes a message
+//!    is appended to the round's receiver list ([`Simulator::receivers`]).
 //!
 //! Steady-state rounds perform **zero heap allocations** with tracing off:
 //! the transmitted-message buffer, the transmitter list and the per-listener
@@ -63,7 +65,7 @@
 //! it is the executable specification the equivalence suite checks the fast
 //! engine against, round for round and event for event.
 //!
-//! # Event-driven frontier engine
+//! # Event-driven frontier engine (the default)
 //!
 //! The paper's protocols spend most of a long execution dormant: on a path,
 //! Algorithm B's wave involves a handful of nodes per round and the quiet
@@ -89,6 +91,16 @@
 //! default hint of 0 degenerates to exact per-round driving, and the
 //! three-engine equivalence matrix in `tests/engine_equivalence.rs` pins
 //! the rest.
+//!
+//! # Receivers: the observer hook
+//!
+//! Protocol state changes only in `step` (driven nodes) and `receive`; in
+//! every protocol of this workspace the harness-visible progress predicates
+//! ("informed", "holds message j") change only when a node decodes a
+//! message. Every engine therefore records, in both trace modes and through
+//! one code path, the nodes that decoded a message in the last executed
+//! round ([`Simulator::receivers`]). Observers that walk that list instead
+//! of all `n` nodes keep the whole session round loop at O(frontier).
 
 use crate::fault::{CompiledFaults, FaultKind, FaultPlan, RxFault};
 use crate::message::RadioMessage;
@@ -108,24 +120,26 @@ use std::sync::Arc;
 /// below `u32::MAX` by the CSR offsets.
 const JAMMER: u32 = u32::MAX;
 
-/// Which delivery engine [`Simulator::step_round`] uses.
+/// Which delivery engine [`Simulator::step_round`] uses. The default is
+/// [`Engine::EventDriven`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// The transmitter-centric, allocation-free engine (the default): only
-    /// transmitters' CSR neighbour slices are walked each round.
-    #[default]
+    /// The transmitter-centric, allocation-free per-round engine: every node
+    /// is stepped every round, and only transmitters' CSR neighbour slices
+    /// are walked.
     TransmitterCentric,
     /// The original listener-centric engine, retained as an executable
     /// reference implementation: every listener scans its neighbour list.
     /// Slower by design; exists so equivalence tests (and sceptical users)
     /// can replay any workload on every engine and compare traces.
     ListenerCentric,
-    /// The event-driven frontier engine: nodes advertise dormancy via
-    /// [`RadioNode::wake_hint`], only the active frontier is driven each
-    /// round, and — with tracing off — [`Simulator::run_until`]
+    /// The event-driven frontier engine (the default): nodes advertise
+    /// dormancy via [`RadioNode::wake_hint`], only the active frontier is
+    /// driven each round, and — with tracing off — [`Simulator::run_until`]
     /// batch-advances the clock over provably quiet stretches. Traces,
     /// observations, outcomes and fault application are bit-identical to
     /// the other two engines (see the module docs for the contract).
+    #[default]
     EventDriven,
 }
 
@@ -135,23 +149,21 @@ pub enum Engine {
 /// wake queue is meaningful only for the run that seeded it.
 struct EventState {
     /// Authoritative next round each node must be driven in; `u64::MAX`
-    /// means dormant until a decodable reception wakes it.
+    /// means dormant until a decodable reception wakes it, and [`DRIVEN`]
+    /// marks a node on the current round's due list until observe
+    /// reschedules it — which keeps a node woken by several queue entries
+    /// from being driven twice. A queue entry whose round no longer matches
+    /// is stale and is dropped lazily when it surfaces.
     next_wake: Vec<u64>,
-    /// The round each node's live queue entry targets; deduplicates pushes.
-    /// An entry whose round no longer matches `next_wake` is stale and is
-    /// dropped lazily when it surfaces.
-    enqueued_for: Vec<u64>,
-    /// The round each node was last put on the due list; keeps a node from
-    /// being driven twice when several queues wake it at once.
-    due_stamp: Vec<u64>,
     /// Min-heap of `(wake_round, node)` for wake-ups two or more rounds out
-    /// (plus the initial all-nodes seeding).
+    /// (and, at seeding, for nodes a fault plan keeps asleep past round 1).
     heap: BinaryHeap<Reverse<(u64, NodeId)>>,
     /// Forced wake-ups at jam-interval starts: a jammer occupies the
     /// channel (and resets quiet detection) even while its protocol is
     /// dormant, so elision must never skip a jam round.
     fault_wakes: BinaryHeap<Reverse<(u64, NodeId)>>,
-    /// The current round's due list (reused across rounds).
+    /// The current round's due list; swaps buffers with `due_next`, so the
+    /// two share the allocations across rounds.
     due: Vec<NodeId>,
     /// Nodes scheduled for the immediately following round. Bypasses the
     /// heap so a hint-less protocol (every node due every round) costs
@@ -159,6 +171,9 @@ struct EventState {
     due_next: Vec<NodeId>,
     /// Which round `due_next` currently collects for.
     due_next_round: u64,
+    /// Whether `due_next` is in ascending node order. Observe reschedules
+    /// the due nodes in node order, so for a hint-less protocol it is.
+    due_next_sorted: bool,
     /// Dormant nodes marked by this round's transmitters (tracing off
     /// only): the complete set of wake-by-reception candidates.
     touched: Vec<NodeId>,
@@ -166,21 +181,24 @@ struct EventState {
 
 impl EventState {
     /// Records that node `v` must next be driven in round `wake`
-    /// (`u64::MAX` parks it) and queues an entry unless one targeting
-    /// exactly that round is already live. `round` is the round currently
-    /// executing; a `wake` of `round + 1` takes the cheap swap buffer, any
-    /// later round goes through the heap.
+    /// (`u64::MAX` parks it) and queues an entry for it. `round` is the
+    /// round currently executing; a `wake` of `round + 1` takes the cheap
+    /// swap buffer, any later round goes through the heap. Each node is
+    /// scheduled at most once per round, and an occasional duplicate heap
+    /// entry (a node rescheduled to the round it already waits for) finds
+    /// the node already [`DRIVEN`] when it surfaces.
     fn schedule(&mut self, v: NodeId, round: u64, wake: u64) {
         self.next_wake[v] = wake;
-        if wake == u64::MAX || self.enqueued_for[v] == wake {
+        if wake == u64::MAX {
             return;
         }
-        self.enqueued_for[v] = wake;
         if wake == round + 1 {
             if self.due_next_round != wake {
                 self.due_next.clear();
                 self.due_next_round = wake;
+                self.due_next_sorted = true;
             }
+            self.due_next_sorted &= self.due_next.last() < Some(&v);
             self.due_next.push(v);
         } else {
             self.heap.push(Reverse((wake, v)));
@@ -188,11 +206,27 @@ impl EventState {
     }
 }
 
+/// `EventState::next_wake` of a node on the current round's due list. Real
+/// wake rounds are at least 1, so it never collides with one.
+const DRIVEN: u64 = 0;
+
 /// The round a node driven in `round` with dormancy hint `hint` must next
 /// be driven in (`u64::MAX` = parked until a reception wakes it).
 #[inline]
 fn wake_after(round: u64, hint: u64) -> u64 {
     round.saturating_add(1).saturating_add(hint)
+}
+
+/// The round a node occupying the channel in `round` must next be driven
+/// in: a jammer stays due while its interval lasts, a transmitter follows
+/// its post-step hint.
+#[inline]
+fn transmitter_wake<N: RadioNode>(scratch: &RoundScratch, node: &N, v: NodeId, round: u64) -> u64 {
+    if scratch.tx_index[v] == JAMMER {
+        round + 1
+    } else {
+        wake_after(round, node.wake_hint())
+    }
 }
 
 /// Delivers one successful reception through the receive-side fault filter —
@@ -402,7 +436,7 @@ impl<N: RadioNode> Simulator<N> {
         self
     }
 
-    /// Selects the delivery engine (default [`Engine::TransmitterCentric`]).
+    /// Selects the delivery engine (default [`Engine::EventDriven`]).
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
@@ -477,6 +511,20 @@ impl<N: RadioNode> Simulator<N> {
         self.round
     }
 
+    /// The nodes that decoded a message (were handed `receive(Some(_))`)
+    /// in the most recently executed round, in the engine's delivery order
+    /// (ascending under the per-round engines). Elided rounds decode
+    /// nothing, so after [`run_until`](Self::run_until) skips a span this
+    /// still describes the last executed round; it is empty before the
+    /// first round.
+    ///
+    /// Every engine records the list in both trace modes, which is what
+    /// lets a harness predicate track per-node progress in O(receivers)
+    /// per round instead of rescanning all nodes.
+    pub fn receivers(&self) -> &[NodeId] {
+        &self.scratch.receivers
+    }
+
     /// Executes a single round and returns the number of transmitters.
     pub fn step_round(&mut self) -> usize {
         match self.engine {
@@ -486,7 +534,7 @@ impl<N: RadioNode> Simulator<N> {
         }
     }
 
-    /// One round of the default transmitter-centric engine (see the module
+    /// One round of the per-round transmitter-centric engine (see the module
     /// docs for the three-phase design and its invariants).
     fn step_round_transmitter_centric(&mut self) -> usize {
         self.round += 1;
@@ -506,6 +554,8 @@ impl<N: RadioNode> Simulator<N> {
         // sentinel instead of a message.
         self.tx_messages.clear();
         scratch.transmitters.clear();
+        scratch.receivers.clear();
+        let mut node_steps = 0u64;
         for (v, node) in self.nodes.iter_mut().enumerate() {
             if let Some(f) = faults {
                 if f.inert_kind(v, round).is_some() {
@@ -518,6 +568,7 @@ impl<N: RadioNode> Simulator<N> {
                     continue;
                 }
             }
+            node_steps += 1;
             match node.step() {
                 Action::Transmit(m) => {
                     scratch.tx_stamp[v] = generation;
@@ -594,7 +645,10 @@ impl<N: RadioNode> Simulator<N> {
                         let msg = &self.tx_messages[scratch.tx_index[w] as usize];
                         let (decoded, rx_faulted, event) =
                             deliver_with_rx_faults(node, v, w, msg, rx_window, self.record_trace);
-                        deliveries += u64::from(decoded);
+                        if decoded {
+                            deliveries += 1;
+                            scratch.receivers.push(v);
+                        }
                         rx_faults += u64::from(rx_faulted);
                         if let Some(e) = event {
                             events.push(e);
@@ -638,6 +692,7 @@ impl<N: RadioNode> Simulator<N> {
                 bits,
                 max_message_bits,
                 frontier: n as u64,
+                node_steps,
             });
         }
         transmitter_count
@@ -665,6 +720,8 @@ impl<N: RadioNode> Simulator<N> {
         let mut inert: Vec<Option<FaultKind>> = vec![None; n];
         let mut jamming: Vec<bool> = vec![false; n];
         let mut actions: Vec<Action<N::Msg>> = Vec::with_capacity(n);
+        self.scratch.receivers.clear();
+        let mut node_steps = 0u64;
         for (v, node) in self.nodes.iter_mut().enumerate() {
             if let Some(f) = faults {
                 if let Some(kind) = f.inert_kind(v, round) {
@@ -678,6 +735,7 @@ impl<N: RadioNode> Simulator<N> {
                     continue;
                 }
             }
+            node_steps += 1;
             actions.push(node.step());
         }
         let transmitting: Vec<bool> = actions
@@ -743,7 +801,10 @@ impl<N: RadioNode> Simulator<N> {
                                 rx_window,
                                 self.record_trace,
                             );
-                            deliveries += u64::from(decoded);
+                            if decoded {
+                                deliveries += 1;
+                                self.scratch.receivers.push(v);
+                            }
                             rx_faults += u64::from(rx_faulted);
                             if let Some(e) = event {
                                 events.push(e);
@@ -806,6 +867,7 @@ impl<N: RadioNode> Simulator<N> {
                 bits,
                 max_message_bits,
                 frontier: n as u64,
+                node_steps,
             });
         }
         transmitter_count
@@ -815,27 +877,25 @@ impl<N: RadioNode> Simulator<N> {
     /// every node is due in the next round (or at its late-wake round, if it
     /// starts asleep), and every jam interval registers a forced wake at its
     /// first in-range round so elision can never skip a channel-occupying
-    /// jammer.
+    /// jammer. Nodes due next round go straight onto the `due_next` swap
+    /// buffer, so a fault-free seeding never builds an n-entry heap.
     fn init_event_state(&mut self) {
         let n = self.graph.node_count();
         let base = self.round;
         let faults = self.faults.as_ref();
         let mut st = EventState {
-            next_wake: vec![0; n],
-            enqueued_for: vec![0; n],
-            due_stamp: vec![0; n],
-            heap: BinaryHeap::with_capacity(n),
+            next_wake: vec![DRIVEN; n],
+            heap: BinaryHeap::new(),
             fault_wakes: BinaryHeap::new(),
-            due: Vec::with_capacity(n),
-            due_next: Vec::new(),
-            due_next_round: 0,
+            due: Vec::new(),
+            due_next: Vec::with_capacity(n),
+            due_next_round: base + 1,
+            due_next_sorted: true,
             touched: Vec::new(),
         };
         for v in 0..n {
             let wake = faults.map_or(1, |f| f.wake_round(v)).max(base + 1);
-            st.next_wake[v] = wake;
-            st.enqueued_for[v] = wake;
-            st.heap.push(Reverse((wake, v)));
+            st.schedule(v, base, wake);
         }
         if let Some(f) = faults {
             for &(v, first, last) in f.jam_intervals() {
@@ -872,18 +932,22 @@ impl<N: RadioNode> Simulator<N> {
         let st = self.event.as_mut().expect("seeded above");
 
         // Due assembly: the next-round swap buffer, then the wake heap, then
-        // forced jam wake-ups — deduplicated through `due_stamp` and
-        // validated against `next_wake` (a heap entry whose round no longer
-        // matches is stale and drops here).
+        // forced jam wake-ups, each node marked DRIVEN as it joins. The swap
+        // buffer's entries are always live (a node is scheduled at most once
+        // per round, and nothing reschedules it before it is driven); a
+        // heap entry whose round no longer matches `next_wake` is stale, and
+        // a second entry for a DRIVEN node drops too. `sorted` tracks
+        // whether the list stays ascending, so the sort below is skipped
+        // for a hint-less protocol.
         st.due.clear();
         st.touched.clear();
+        let mut sorted = true;
         if st.due_next_round == round {
-            for i in 0..st.due_next.len() {
-                let v = st.due_next[i];
-                if st.next_wake[v] == round && st.due_stamp[v] != round {
-                    st.due_stamp[v] = round;
-                    st.due.push(v);
-                }
+            std::mem::swap(&mut st.due, &mut st.due_next);
+            sorted = st.due_next_sorted;
+            for &v in &st.due {
+                debug_assert_eq!(st.next_wake[v], round, "due_next entries are live");
+                st.next_wake[v] = DRIVEN;
             }
         }
         st.due_next.clear();
@@ -892,8 +956,9 @@ impl<N: RadioNode> Simulator<N> {
                 break;
             }
             st.heap.pop();
-            if st.next_wake[v] == w && st.due_stamp[v] != round {
-                st.due_stamp[v] = round;
+            if st.next_wake[v] == w {
+                st.next_wake[v] = DRIVEN;
+                sorted &= st.due.last() < Some(&v);
                 st.due.push(v);
             }
         }
@@ -902,15 +967,18 @@ impl<N: RadioNode> Simulator<N> {
                 break;
             }
             st.fault_wakes.pop();
-            if st.due_stamp[v] != round {
-                st.due_stamp[v] = round;
+            if st.next_wake[v] != DRIVEN {
+                st.next_wake[v] = DRIVEN;
+                sorted &= st.due.last() < Some(&v);
                 st.due.push(v);
             }
         }
         // The mark pass's first-hit rule assumes transmitters are visited in
         // ascending node order, exactly like the per-round engines' decide
         // sweeps produce them.
-        st.due.sort_unstable();
+        if !sorted {
+            st.due.sort_unstable();
+        }
         // Frontier size for the metrics sink: the nodes this engine actually
         // drives this round (engine-specific by design — the per-round
         // engines report n here).
@@ -919,9 +987,12 @@ impl<N: RadioNode> Simulator<N> {
         // Decide: only the due nodes act. A crashed node parks forever, an
         // asleep node sleeps until its wake round, a jammer occupies the
         // channel (and stays due while its interval lasts); everyone else
-        // steps, and transmitters reschedule by their post-step hint.
+        // steps. Observe reschedules jammers, transmitters (by their
+        // post-step hint) and listeners (by their post-receive hint).
         self.tx_messages.clear();
         scratch.transmitters.clear();
+        scratch.receivers.clear();
+        let mut node_steps = 0u64;
         for i in 0..st.due.len() {
             let v = st.due[i];
             if let Some(f) = faults {
@@ -942,20 +1013,18 @@ impl<N: RadioNode> Simulator<N> {
                     scratch.tx_stamp[v] = generation;
                     scratch.tx_index[v] = JAMMER;
                     scratch.transmitters.push(v);
-                    st.schedule(v, round, round + 1);
                     continue;
                 }
             }
-            match self.nodes[v].step() {
-                Action::Transmit(m) => {
-                    scratch.tx_stamp[v] = generation;
-                    scratch.tx_index[v] = self.tx_messages.len() as u32;
-                    scratch.transmitters.push(v);
-                    self.tx_messages.push(m);
-                    st.schedule(v, round, wake_after(round, self.nodes[v].wake_hint()));
-                }
-                Action::Listen => {} // rescheduled in observe, after receive
+            node_steps += 1;
+            if let Action::Transmit(m) = self.nodes[v].step() {
+                scratch.tx_stamp[v] = generation;
+                scratch.tx_index[v] = self.tx_messages.len() as u32;
+                scratch.transmitters.push(v);
+                self.tx_messages.push(m);
             }
+            // Every stepped node is rescheduled in observe, in node order,
+            // which keeps the next round's due list sorted.
         }
 
         // Mark: identical to the fast engine, except that with tracing off
@@ -970,7 +1039,7 @@ impl<N: RadioNode> Simulator<N> {
                     scratch.stamp[w] = generation;
                     scratch.hit_count[w] = 1;
                     scratch.last_sender[w] = t;
-                    if !record_trace && st.due_stamp[w] != round {
+                    if !record_trace && st.next_wake[w] != DRIVEN {
                         st.touched.push(w);
                     }
                 }
@@ -1000,9 +1069,14 @@ impl<N: RadioNode> Simulator<N> {
                         let m = &self.tx_messages[scratch.tx_index[v] as usize];
                         events.push(NodeEvent::Transmitted(m.clone()));
                     }
+                    st.schedule(
+                        v,
+                        round,
+                        transmitter_wake(scratch, &self.nodes[v], v, round),
+                    );
                     continue;
                 }
-                let is_due = st.due_stamp[v] == round;
+                let is_due = st.next_wake[v] == DRIVEN;
                 if scratch.stamp[v] == generation {
                     if scratch.hit_count[v] == 1 {
                         let w = scratch.last_sender[v];
@@ -1036,7 +1110,10 @@ impl<N: RadioNode> Simulator<N> {
                                 rx_window,
                                 true,
                             );
-                            deliveries += u64::from(decoded);
+                            if decoded {
+                                deliveries += 1;
+                                scratch.receivers.push(v);
+                            }
                             rx_faults += u64::from(rx_faulted);
                             events.push(event.expect("recording"));
                             if decoded || is_due {
@@ -1063,11 +1140,11 @@ impl<N: RadioNode> Simulator<N> {
             }
             self.trace.rounds.push(RoundRecord { round, events });
         } else {
-            // Tracing off: the due listeners plus the touched set cover
-            // every node whose state can change this round. Due listeners
-            // observe their outcome and reschedule by their post-receive
-            // hint; a touched (dormant) node is woken only by an actual
-            // decoded delivery.
+            // Tracing off: the due nodes plus the touched set cover every
+            // node whose state can change this round. Due nodes are
+            // rescheduled in node order (keeping the next due list sorted),
+            // listeners after observing their outcome; a touched (dormant)
+            // node is woken only by an actual decoded delivery.
             for i in 0..st.due.len() {
                 let v = st.due[i];
                 if let Some(f) = faults {
@@ -1076,7 +1153,13 @@ impl<N: RadioNode> Simulator<N> {
                     }
                 }
                 if scratch.tx_stamp[v] == generation {
-                    continue; // transmitters and jammers observe nothing
+                    // Transmitters and jammers observe nothing.
+                    st.schedule(
+                        v,
+                        round,
+                        transmitter_wake(scratch, &self.nodes[v], v, round),
+                    );
+                    continue;
                 }
                 if scratch.stamp[v] == generation
                     && scratch.hit_count[v] == 1
@@ -1086,7 +1169,10 @@ impl<N: RadioNode> Simulator<N> {
                     let msg = &self.tx_messages[scratch.tx_index[w] as usize];
                     let (decoded, rx_faulted, _) =
                         deliver_with_rx_faults(&mut self.nodes[v], v, w, msg, rx_window, false);
-                    deliveries += u64::from(decoded);
+                    if decoded {
+                        deliveries += 1;
+                        scratch.receivers.push(v);
+                    }
                     rx_faults += u64::from(rx_faulted);
                 } else {
                     // A marked listener that decoded nothing observed a
@@ -1127,9 +1213,10 @@ impl<N: RadioNode> Simulator<N> {
                 let msg = &self.tx_messages[scratch.tx_index[w] as usize];
                 let (decoded, rx_faulted, _) =
                     deliver_with_rx_faults(&mut self.nodes[v], v, w, msg, rx_window, false);
-                deliveries += u64::from(decoded);
                 rx_faults += u64::from(rx_faulted);
                 if decoded {
+                    deliveries += 1;
+                    scratch.receivers.push(v);
                     st.schedule(v, round, wake_after(round, self.nodes[v].wake_hint()));
                 }
             }
@@ -1147,6 +1234,7 @@ impl<N: RadioNode> Simulator<N> {
                 bits,
                 max_message_bits,
                 frontier,
+                node_steps,
             });
         }
         transmitter_count
@@ -1175,13 +1263,7 @@ impl<N: RadioNode> Simulator<N> {
                 next = w;
                 break;
             }
-            // Stale entry: drop it, and clear the dedup stamp it may still
-            // hold so a future schedule targeting the same round is not
-            // suppressed (the physical entry is gone).
-            if st.enqueued_for[v] == w {
-                st.enqueued_for[v] = 0;
-            }
-            st.heap.pop();
+            st.heap.pop(); // stale entry
         }
         if let Some(&Reverse((w, _))) = st.fault_wakes.peek() {
             next = next.min(w);
@@ -1741,6 +1823,71 @@ mod tests {
         for (a, b) in fast.nodes().iter().zip(event.nodes()) {
             assert_eq!(a.listen_outcomes, b.listen_outcomes);
         }
+    }
+
+    #[test]
+    fn every_engine_reports_the_traced_receivers_in_both_trace_modes() {
+        // The recorded listener-centric trace is the oracle: its `Heard`
+        // events are exactly the nodes that decoded a message. Chaos under
+        // every receive-side fault covers drops and corruption; `Pulse`
+        // covers the event engine's dormant, touched-then-woken receivers.
+        let plan = FaultPlan::none()
+            .crash(5, 4)
+            .jam(7, 2, 3)
+            .late_wake(0, 3)
+            .drop_message(2, 2)
+            .corrupt(6, 3)
+            .corrupt(9, 5);
+        let g = generators::grid(4, 5);
+        fn check<N: RadioNode>(make: impl Fn(Engine, bool) -> Simulator<N>, rounds: u64) {
+            let mut oracle = make(Engine::ListenerCentric, true);
+            oracle.run_rounds(rounds);
+            let expected: Vec<Vec<NodeId>> = oracle
+                .trace()
+                .rounds
+                .iter()
+                .map(RoundRecord::receivers)
+                .collect();
+            for engine in [
+                Engine::TransmitterCentric,
+                Engine::ListenerCentric,
+                Engine::EventDriven,
+            ] {
+                for traced in [true, false] {
+                    let mut sim = make(engine, traced);
+                    for (r, want) in expected.iter().enumerate() {
+                        sim.step_round();
+                        let mut got = sim.receivers().to_vec();
+                        got.sort_unstable();
+                        assert_eq!(&got, want, "{engine:?}, traced {traced}, round {}", r + 1);
+                    }
+                }
+            }
+        }
+        check(
+            |engine, traced| {
+                let sim = Simulator::new(g.clone(), crate::testing::ChaosNode::network(20, 3))
+                    .with_engine(engine)
+                    .with_faults(&plan);
+                if traced {
+                    sim
+                } else {
+                    sim.without_trace()
+                }
+            },
+            12,
+        );
+        check(
+            |engine, traced| {
+                let sim = pulse_sim(g.clone(), engine);
+                if traced {
+                    sim
+                } else {
+                    sim.without_trace()
+                }
+            },
+            12,
+        );
     }
 
     /// A protocol with a real dormancy hint: the source transmits once, then

@@ -165,6 +165,8 @@ mod tests {
             elided_spans: 0,
             scratch_reused: 0,
             scratch_fresh: 1,
+            node_steps: 6,
+            observer_visits: 0,
         };
         assert_eq!(
             ExecutionStats::from_counters(&counters),

@@ -60,6 +60,11 @@ pub struct RoundMetrics {
     /// event-driven engine reports its wake-hint due set. Engine-specific
     /// by design — sidecar material, never a report column.
     pub frontier: u64,
+    /// Protocol `step` calls the engine made this round: every non-faulted
+    /// node under the per-round engines, the stepped part of the due set
+    /// under the event-driven engine. Engine-specific like
+    /// [`frontier`](Self::frontier).
+    pub node_steps: u64,
 }
 
 /// Receives per-round metrics from a simulator engine. All methods except
@@ -142,6 +147,15 @@ pub struct RunCounters {
     pub scratch_reused: u64,
     /// Scratch buffers freshly allocated.
     pub scratch_fresh: u64,
+    /// Total protocol `step` calls the engine made (engine-specific, like
+    /// [`frontier_peak`](Self::frontier_peak)): the work counter that pins
+    /// the event-driven engine's O(frontier) rounds.
+    pub node_steps: u64,
+    /// Nodes the session's completion observers examined, the initial
+    /// pass included. Filled in by the session layer, not by a sink: a
+    /// receiver-driven observer examines only the nodes that decoded a
+    /// message, so this stays within `deliveries + n`.
+    pub observer_visits: u64,
 }
 
 /// The standard aggregating sink: folds every round into a [`RunCounters`].
@@ -178,6 +192,7 @@ impl MetricsSink for CounterSink {
         c.total_bits += m.bits;
         c.max_message_bits = c.max_message_bits.max(m.max_message_bits);
         c.frontier_peak = c.frontier_peak.max(m.frontier);
+        c.node_steps += m.node_steps;
     }
 
     fn on_elided_span(&mut self, _first_round: u64, rounds: u64) {
@@ -417,7 +432,8 @@ impl JsonlEvent {
              \"deliveries\":{},\"collisions\":{},\"rx_faults\":{},\"silent_rounds\":{},\
              \"max_transmitters_per_round\":{},\"total_bits\":{},\"max_message_bits\":{},\
              \"frontier_peak\":{},\"elided_rounds\":{},\"elided_spans\":{},\
-             \"scratch_reused\":{},\"scratch_fresh\":{}}}",
+             \"scratch_reused\":{},\"scratch_fresh\":{},\"node_steps\":{},\
+             \"observer_visits\":{}}}",
             json_escape(key),
             c.rounds,
             c.transmitters,
@@ -434,6 +450,8 @@ impl JsonlEvent {
             c.elided_spans,
             c.scratch_reused,
             c.scratch_fresh,
+            c.node_steps,
+            c.observer_visits,
         ));
         self
     }
@@ -473,6 +491,7 @@ mod tests {
             bits: protocol * 8,
             max_message_bits: if protocol > 0 { 8 } else { 0 },
             frontier: tx + deliveries,
+            node_steps: tx + deliveries,
         }
     }
 

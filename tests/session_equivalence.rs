@@ -18,9 +18,12 @@ use radio_labeling::broadcast::session::{
     RoundCapPolicy, RunReport, RunSpec, Scheme, Session, StopPolicy, TracePolicy,
 };
 use radio_labeling::broadcast::{verify, BMessage, TaggedPayload};
+use radio_labeling::broadcast::{GossipNode, MultiNode};
 use radio_labeling::graph::{generators, Graph};
-use radio_labeling::labeling::{baselines, lambda, lambda_ack, lambda_arb, onebit, Labeling};
-use radio_labeling::radio::{ExecutionStats, RadioNode, Simulator, StopCondition};
+use radio_labeling::labeling::{
+    baselines, gossip, lambda, lambda_ack, lambda_arb, multi, onebit, Labeling,
+};
+use radio_labeling::radio::{ExecutionStats, FaultPlan, RadioNode, Simulator, StopCondition};
 use std::sync::Arc;
 
 const MSG: u64 = 42;
@@ -321,4 +324,215 @@ fn explicit_policies_compose_with_every_scheme() {
             .run();
         assert!(r.completed(), "{} under explicit policies", scheme.name());
     }
+}
+
+/// Round by round over a bare simulator with `plan`, the full-scan
+/// bookkeeping the session's receiver-driven observers replace: every
+/// node's first round satisfying `informed` (0 if it starts so) and, for
+/// each of the `measures` predicates `holds(node, i)`, the first executed
+/// round in which it holds for every node. `done` (given those rounds)
+/// stops the run early.
+#[allow(clippy::too_many_arguments)]
+fn full_scan<N: RadioNode>(
+    g: &Graph,
+    nodes: Vec<N>,
+    plan: &FaultPlan,
+    stop: StopCondition,
+    informed: impl Fn(&N) -> bool,
+    measures: usize,
+    holds: impl Fn(&N, usize) -> bool,
+    done: impl Fn(&[Option<u64>]) -> bool,
+) -> (Vec<Option<u64>>, Vec<Option<u64>>, u64) {
+    let mut informed_rounds: Vec<Option<u64>> =
+        nodes.iter().map(|v| informed(v).then_some(0)).collect();
+    let mut reached = vec![None; measures];
+    let mut sim = Simulator::new(g.clone(), nodes)
+        .with_faults(plan)
+        .without_trace();
+    let outcome = sim.run_until(stop, |s| {
+        let round = s.current_round();
+        for (v, node) in s.nodes().iter().enumerate() {
+            if informed_rounds[v].is_none() && informed(node) {
+                informed_rounds[v] = Some(round);
+            }
+        }
+        for (i, slot) in reached.iter_mut().enumerate() {
+            if slot.is_none() && s.nodes().iter().all(|v| holds(v, i)) {
+                *slot = Some(round);
+            }
+        }
+        done(&reached)
+    });
+    (informed_rounds, reached, outcome.rounds_executed)
+}
+
+/// Checks a multi-message session's informed and per-message completion
+/// rounds against [`full_scan`] of the same protocol network.
+fn check_bundle<N: RadioNode>(
+    what: &str,
+    session: &Session,
+    g: &Graph,
+    plan: &FaultPlan,
+    nodes: Vec<N>,
+    has_message: fn(&N, usize) -> bool,
+    holds_all: fn(&N) -> bool,
+) {
+    let sources = session.sources();
+    let (informed, reached, rounds) = full_scan(
+        g,
+        nodes,
+        plan,
+        session.resolved_stop_condition(),
+        holds_all,
+        sources.len(),
+        has_message,
+        |r| r.iter().all(Option::is_some),
+    );
+    let report = session.run();
+    assert_eq!(report.informed_rounds, informed, "{what}");
+    assert_eq!(report.rounds_executed, rounds, "{what}");
+    let expected: Vec<(usize, Option<u64>)> = sources.iter().copied().zip(reached).collect();
+    assert_eq!(report.message_completion_rounds, Some(expected), "{what}");
+}
+
+/// The fault plans the observer oracle replays: none, plus crash, late
+/// wake, jam and drop schedules that delay or break the broadcasts.
+fn oracle_plans() -> Vec<FaultPlan> {
+    vec![
+        FaultPlan::none(),
+        FaultPlan::none().crash(5, 9),
+        FaultPlan::none().late_wake(3, 12).late_wake(7, 30),
+        FaultPlan::none().jam(2, 4, 6).drop_message(6, 3),
+    ]
+}
+
+#[test]
+fn receiver_driven_observers_match_full_scans() {
+    for (name, g, source) in workloads() {
+        let n = g.node_count();
+        for plan in oracle_plans()
+            .into_iter()
+            .filter(|p| p.max_node() < Some(n))
+        {
+            for trace in [TracePolicy::Recorded, TracePolicy::Disabled] {
+                let build = |scheme: Scheme| {
+                    Session::builder(scheme, g.clone())
+                        .source(source)
+                        .message(MSG)
+                        .trace(trace)
+                        .faults(plan.clone())
+                        .build()
+                        .unwrap()
+                };
+                let what = format!("{name}, {plan:?}, {trace:?}");
+
+                // λ_arb: completion and common knowledge.
+                let session = build(Scheme::LambdaArb);
+                let labeling = session.labeling();
+                let (informed, reached, rounds) = full_scan(
+                    &g,
+                    ArbNode::network(labeling, source, MSG),
+                    &plan,
+                    session.resolved_stop_condition(),
+                    |v: &ArbNode| v.learned_message().is_some(),
+                    2,
+                    |v: &ArbNode, i| match i {
+                        0 => v.learned_message() == Some(MSG),
+                        _ => v.knows_completion(),
+                    },
+                    |r| r.iter().all(Option::is_some),
+                );
+                let report = session.run();
+                assert_eq!(report.informed_rounds, informed, "lambda_arb {what}");
+                assert_eq!(report.completion_round, reached[0], "lambda_arb {what}");
+                assert_eq!(
+                    report.common_knowledge_round, reached[1],
+                    "lambda_arb {what}"
+                );
+                assert_eq!(report.rounds_executed, rounds, "lambda_arb {what}");
+
+                // λ_ack: the source's first acknowledgement.
+                let session = build(Scheme::LambdaAck);
+                let nodes = BackNode::network(session.labeling(), source, MSG);
+                let mut sim = Simulator::new(g.clone(), nodes)
+                    .with_faults(&plan)
+                    .without_trace();
+                let mut ack_round = None;
+                sim.run_until(session.resolved_stop_condition(), |s| {
+                    if ack_round.is_none() && s.nodes()[source].source_received_ack() {
+                        ack_round = Some(s.current_round());
+                    }
+                    false
+                });
+                assert_eq!(session.run().ack_round, ack_round, "lambda_ack {what}");
+
+                // Multi-message: per-message completion and full holders.
+                let session = build(Scheme::MultiLambda { k: 3 });
+                let scheme =
+                    multi::construct_with_coordinator(&g, session.sources(), session.coordinator())
+                        .unwrap();
+                let payloads: Vec<u64> = (0..scheme.k() as u64).map(|j| MSG + j).collect();
+                check_bundle(
+                    &format!("multi {what}"),
+                    &session,
+                    &g,
+                    &plan,
+                    MultiNode::network(&scheme, &payloads),
+                    MultiNode::has_message,
+                    MultiNode::holds_all_messages,
+                );
+                let session = build(Scheme::Gossip);
+                let scheme = gossip::construct_with_coordinator(&g, session.coordinator()).unwrap();
+                let payloads: Vec<u64> = (0..n as u64).map(|j| MSG + j).collect();
+                check_bundle(
+                    &format!("gossip {what}"),
+                    &session,
+                    &g,
+                    &plan,
+                    GossipNode::network(&scheme, &payloads),
+                    GossipNode::has_message,
+                    GossipNode::holds_all_messages,
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn lambda_arb_common_knowledge_waits_for_a_jammed_countdown() {
+    // Jamming a node while its completion countdown runs suspends the
+    // countdown, so the predicted round of knowing completion passes
+    // unmet and must be checked again: common knowledge comes later than
+    // in the fault-free run, exactly when a full scan sees it.
+    let g = generators::path(16);
+    let build = |plan: FaultPlan| {
+        Session::builder(Scheme::LambdaArb, g.clone())
+            .source(8)
+            .message(MSG)
+            .trace(TracePolicy::Disabled)
+            .faults(plan)
+            .build()
+            .unwrap()
+    };
+    let clean = build(FaultPlan::none()).run();
+    let (completion, knowledge) = (
+        clean.completion_round.unwrap(),
+        clean.common_knowledge_round.unwrap(),
+    );
+    assert!(completion < knowledge);
+    let plan = FaultPlan::none().jam(15, completion + 1, 3);
+    let session = build(plan.clone());
+    let (_, reached, _) = full_scan(
+        &g,
+        ArbNode::network(session.labeling(), 8, MSG),
+        &plan,
+        session.resolved_stop_condition(),
+        |v: &ArbNode| v.learned_message().is_some(),
+        1,
+        |v: &ArbNode, _| v.knows_completion(),
+        |r| r[0].is_some(),
+    );
+    let report = session.run();
+    assert_eq!(report.common_knowledge_round, reached[0]);
+    assert!(report.common_knowledge_round > Some(knowledge));
 }
