@@ -356,7 +356,7 @@ impl BackEngine {
     /// bit-identical. True once an enabled source has made its first
     /// transmission (or a source is still disabled) and every age counter
     /// has settled; `receive(None)` is always a no-op.
-    pub fn is_frozen(&self) -> bool {
+    pub(crate) fn is_frozen(&self) -> bool {
         let settled = |age: Option<u64>| age.is_none_or(|a| a >= Self::SETTLED_AGE);
         !(self.is_source && self.enabled && !self.ever_acted)
             && settled(self.informed_age)

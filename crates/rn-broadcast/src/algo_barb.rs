@@ -65,6 +65,16 @@ pub struct ArbNode {
     knows_completion: bool,
 }
 
+/// The per-node knowledge [`ArbNode`] records from its phase engines at the
+/// start of every step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LocalKnowledge {
+    t_v: Option<u64>,
+    t_bound: Option<u64>,
+    source_ack_countdown: Option<u64>,
+    completion_countdown: Option<u64>,
+}
+
 impl ArbNode {
     /// Creates the state machine for one node. `message` is `Some(µ)` for the
     /// actual source s_G and `None` for everyone else; the coordinator is
@@ -175,49 +185,34 @@ impl ArbNode {
     /// completion countdown still waits for a message the node has not
     /// received. Exact, because receptions never move a countdown that is
     /// running or about to start.
-    pub fn steps_until_knows_completion(&self) -> Option<u64> {
+    pub(crate) fn steps_until_knows_completion(&self) -> Option<u64> {
         if self.knows_completion {
             return Some(0);
+        }
+        if !self.is_coordinator {
+            // A countdown the next step starts is also ticked by it.
+            return self.next_local_knowledge().completion_countdown;
         }
         if let Some(c) = self.completion_countdown {
             return Some(c);
         }
-        if self.is_coordinator {
-            // Phase 3 starts at the c-th step, which also starts the
-            // T + 1 countdown and ticks it once.
-            if let Some(c) = self.phase3_start_countdown {
-                return self.t_bound.map(|t| c + t);
-            }
-            if !self.phase_advance_pending() {
-                return None;
-            }
-            if self.phase2.is_enabled() {
-                // The next step starts phase 3 and the T + 1 countdown.
-                return self.t_bound.map(|t| t + 1);
-            }
-            // The next step ends phase 1. Only a coordinator holding µ then
-            // starts phase 3 by itself, at step T + 2, which also starts the
-            // T + 1 countdown and ticks it once.
-            let t = self.phase1.final_ack()?.1?;
-            return self.original_message.map(|_| 2 * t + 2);
+        // Phase 3 starts at the c-th step, which also starts the T + 1
+        // countdown and ticks it once.
+        if let Some(c) = self.phase3_start_countdown {
+            return self.t_bound.map(|t| c + t);
         }
-        // The next step starts the T − t_v + 1 countdown and ticks it once.
-        let (Some(t_v), Some(t)) = self.next_t_v_and_bound() else {
+        if !self.phase_advance_pending() {
             return None;
-        };
-        self.phase3.is_informed().then(|| t.saturating_sub(t_v) + 1)
-    }
-
-    /// `t_v` and `T` as the next
-    /// [`update_local_knowledge`](Self::update_local_knowledge) will have
-    /// recorded them.
-    fn next_t_v_and_bound(&self) -> (Option<u64>, Option<u64>) {
-        let t_v = self.t_v.or(self.phase1.informed_round());
-        let t_bound = self.t_bound.or(match self.phase2.payload() {
-            Some(TaggedPayload::Ready(t)) => Some(t),
-            _ => None,
-        });
-        (t_v, t_bound)
+        }
+        if self.phase2.is_enabled() {
+            // The next step starts phase 3 and the T + 1 countdown.
+            return self.t_bound.map(|t| t + 1);
+        }
+        // The next step ends phase 1. Only a coordinator holding µ then
+        // starts phase 3 by itself, at step T + 2, which also starts the
+        // T + 1 countdown and ticks it once.
+        let t = self.phase1.final_ack()?.1?;
+        self.original_message.map(|_| 2 * t + 2)
     }
 
     /// Whether the coordinator has heard a phase's terminating ack but not
@@ -225,7 +220,7 @@ impl ArbNode {
     /// after phase 2, replaces its placeholder phase-3 payload with µ, which
     /// changes [`learned_message`](Self::learned_message) without any
     /// reception). Always false for other nodes.
-    pub fn phase_advance_pending(&self) -> bool {
+    pub(crate) fn phase_advance_pending(&self) -> bool {
         if !self.is_coordinator || self.phase3.is_enabled() {
             return false;
         }
@@ -236,28 +231,58 @@ impl ArbNode {
         }
     }
 
-    /// Whether the next `step`'s [`update_local_knowledge`] would change
-    /// anything. Mirrors its four updates in order: a later update sees the
-    /// `t_v` and `T` an earlier one would record.
-    ///
-    /// [`update_local_knowledge`]: Self::update_local_knowledge
-    fn local_knowledge_pending(&self) -> bool {
-        let (t_v, t_bound) = self.next_t_v_and_bound();
-        let records_t_v = self.t_v.is_none() && t_v.is_some();
-        let records_t_bound = self.t_bound.is_none() && t_bound.is_some();
-        let schedules_source_ack = self.original_message.is_some()
+    /// The fields [`update_local_knowledge`](Self::update_local_knowledge)
+    /// records, as they stand.
+    fn local_knowledge(&self) -> LocalKnowledge {
+        LocalKnowledge {
+            t_v: self.t_v,
+            t_bound: self.t_bound,
+            source_ack_countdown: self.source_ack_countdown,
+            completion_countdown: self.completion_countdown,
+        }
+    }
+
+    /// The fields as the next step's
+    /// [`update_local_knowledge`](Self::update_local_knowledge) records
+    /// them: t_v, T, the source's delayed acknowledgement and the
+    /// completion countdown, each update seeing the ones before it.
+    fn next_local_knowledge(&self) -> LocalKnowledge {
+        let mut k = self.local_knowledge();
+        if k.t_v.is_none() {
+            k.t_v = self.phase1.informed_round();
+        }
+        if k.t_bound.is_none() {
+            if let Some(TaggedPayload::Ready(t)) = self.phase2.payload() {
+                k.t_bound = Some(t);
+            }
+        }
+        // The actual source schedules its phase-2 acknowledgement T rounds
+        // after hearing "ready".
+        if self.original_message.is_some()
             && !self.is_coordinator
             && !self.source_ack_sent
-            && self.source_ack_countdown.is_none()
-            && t_bound.is_some()
-            && self.phase2.informed_round().is_some();
-        let starts_completion_countdown = self.completion_countdown.is_none()
+            && k.source_ack_countdown.is_none()
+        {
+            if let (Some(t), Some(_)) = (k.t_bound, self.phase2.informed_round()) {
+                k.source_ack_countdown = Some(t + 1);
+            }
+        }
+        // Completion countdown: T - t_v rounds after receiving µ in phase 3.
+        if k.completion_countdown.is_none()
             && !self.knows_completion
             && self.phase3.is_informed()
             && !self.is_coordinator
-            && t_bound.is_some()
-            && t_v.is_some();
-        records_t_v || records_t_bound || schedules_source_ack || starts_completion_countdown
+        {
+            if let (Some(t), Some(tv)) = (k.t_bound, k.t_v) {
+                k.completion_countdown = Some(t.saturating_sub(tv) + 1);
+            }
+        }
+        k
+    }
+
+    /// Whether the next step's local-knowledge update changes anything.
+    fn local_knowledge_pending(&self) -> bool {
+        self.next_local_knowledge() != self.local_knowledge()
     }
 
     /// Coordinator-side bookkeeping executed at the start of every round:
@@ -293,38 +318,15 @@ impl ArbNode {
         }
     }
 
-    /// Non-coordinator bookkeeping: record t_v, T, the source's delayed
-    /// acknowledgement, and the completion countdown.
+    /// Records t_v, T, the source's delayed acknowledgement and the
+    /// completion countdown, as
+    /// [`next_local_knowledge`](Self::next_local_knowledge) computes them.
     fn update_local_knowledge(&mut self) {
-        if self.t_v.is_none() {
-            self.t_v = self.phase1.informed_round();
-        }
-        if self.t_bound.is_none() {
-            if let Some(TaggedPayload::Ready(t)) = self.phase2.payload() {
-                self.t_bound = Some(t);
-            }
-        }
-        // The actual source schedules its phase-2 acknowledgement T rounds
-        // after hearing "ready".
-        if self.original_message.is_some()
-            && !self.is_coordinator
-            && !self.source_ack_sent
-            && self.source_ack_countdown.is_none()
-        {
-            if let (Some(t), Some(_)) = (self.t_bound, self.phase2.informed_round()) {
-                self.source_ack_countdown = Some(t + 1);
-            }
-        }
-        // Completion countdown: T - t_v rounds after receiving µ in phase 3.
-        if self.completion_countdown.is_none()
-            && !self.knows_completion
-            && self.phase3.is_informed()
-            && !self.is_coordinator
-        {
-            if let (Some(t), Some(tv)) = (self.t_bound, self.t_v) {
-                self.completion_countdown = Some(t.saturating_sub(tv) + 1);
-            }
-        }
+        let k = self.next_local_knowledge();
+        self.t_v = k.t_v;
+        self.t_bound = k.t_bound;
+        self.source_ack_countdown = k.source_ack_countdown;
+        self.completion_countdown = k.completion_countdown;
     }
 
     fn countdowns(&mut self) -> Option<TaggedMessage> {

@@ -55,7 +55,7 @@ impl GossipNode {
     }
 
     /// How many of the n messages this node holds. O(1).
-    pub fn held_count(&self) -> usize {
+    pub(crate) fn held_count(&self) -> usize {
         self.0.held_count()
     }
 

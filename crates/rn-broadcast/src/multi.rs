@@ -148,7 +148,7 @@ impl MultiNode {
     }
 
     /// How many of the k messages this node holds. O(1).
-    pub fn held_count(&self) -> usize {
+    pub(crate) fn held_count(&self) -> usize {
         self.held
     }
 

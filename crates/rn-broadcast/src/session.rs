@@ -1166,7 +1166,7 @@ impl Session {
                 let nodes = clone_or_rebuild(template, source, message, prepared.spec, || {
                     ArbNode::network(labeling, source, message)
                 });
-                let mut arb = ArbObserver::new(nodes.len(), message, &self.faults);
+                let mut arb = ArbObserver::new(nodes.len(), message);
                 let mut run = Execution::new(self, nodes, record)
                     .instrumented(instrument)
                     .run(
@@ -1641,11 +1641,10 @@ impl Observer<BackNode> for AckObserver {
 /// Knowing completion is the end of a countdown, which ticks in `step`
 /// without any reception; but the countdown's length is fixed by the time
 /// it can first be predicted ([`ArbNode::steps_until_knows_completion`]),
-/// and that happens on a reception. A fault-free run steps every node every
-/// round, so each node's predicted round is exact and the observer only
-/// takes the maximum. Under a fault plan an inert node's countdown stalls,
-/// so each prediction is checked when it falls due and renewed if the node
-/// is late.
+/// and that happens on a reception. Each prediction is checked when it
+/// falls due, one visit per node when the node steps every round; under a
+/// fault plan an inert node's countdown stalls, and a late node is checked
+/// again when its remaining countdown could end.
 struct ArbObserver {
     message: SourceMessage,
     /// Nodes whose learned message is µ.
@@ -1657,29 +1656,23 @@ struct ArbObserver {
     advancing: Option<(NodeId, u64)>,
     /// Nodes whose round of knowing completion is predicted.
     predicted: BitSet,
-    predicted_count: usize,
-    /// Fault-free: the latest predicted round.
-    last_known: u64,
-    /// Under a fault plan: the predictions still to check, as a min-heap of
-    /// `(round, node)`.
-    checks: Option<BinaryHeap<Reverse<(u64, NodeId)>>>,
-    /// Under a fault plan: how many nodes were seen knowing.
+    /// The predictions still to check, as a min-heap of `(round, node)`.
+    checks: BinaryHeap<Reverse<(u64, NodeId)>>,
+    /// How many nodes were seen knowing.
     knowing: usize,
     completion: Option<u64>,
     common_knowledge: Option<u64>,
 }
 
 impl ArbObserver {
-    fn new(n: usize, message: SourceMessage, faults: &FaultPlan) -> Self {
+    fn new(n: usize, message: SourceMessage) -> Self {
         ArbObserver {
             message,
             learned: BitSet::new(n),
             learned_count: 0,
             advancing: None,
             predicted: BitSet::new(n),
-            predicted_count: 0,
-            last_known: 0,
-            checks: (!faults.is_empty()).then(BinaryHeap::new),
+            checks: BinaryHeap::new(),
             knowing: 0,
             completion: None,
             common_knowledge: None,
@@ -1704,11 +1697,7 @@ impl Observer<ArbNode> for ArbObserver {
         if !self.predicted.get(v) {
             if let Some(steps) = node.steps_until_knows_completion() {
                 self.predicted.set(v);
-                self.predicted_count += 1;
-                match &mut self.checks {
-                    None => self.last_known = self.last_known.max(round + steps),
-                    Some(due) => due.push(Reverse((round + steps, v))),
-                }
+                self.checks.push(Reverse((round + steps, v)));
             }
         }
         if node.phase_advance_pending() {
@@ -1736,31 +1725,21 @@ impl Observer<ArbNode> for ArbObserver {
         if self.completion.is_none() && self.learned_count == n {
             self.completion = Some(round);
         }
-        let all_know = match &mut self.checks {
-            None => self.predicted_count == n && round >= self.last_known,
-            Some(due) => {
-                while let Some(&Reverse((at, v))) = due.peek() {
-                    if at > round {
-                        break;
-                    }
-                    due.pop();
-                    *visits += 1;
-                    match nodes[v].steps_until_knows_completion() {
-                        Some(0) => self.knowing += 1,
-                        // Late (a fault kept it from stepping): check again
-                        // when its remaining countdown could end.
-                        Some(steps) => due.push(Reverse((round + steps, v))),
-                        None => unreachable!("a started countdown stays predictable"),
-                    }
-                }
-                self.knowing == n
+        while let Some(&Reverse((at, v))) = self.checks.peek() {
+            if at > round {
+                break;
             }
-        };
-        if self.common_knowledge.is_none() && all_know {
-            debug_assert!(
-                nodes.iter().all(ArbNode::knows_completion),
-                "completion-knowledge prediction ran ahead of the nodes"
-            );
+            self.checks.pop();
+            *visits += 1;
+            match nodes[v].steps_until_knows_completion() {
+                Some(0) => self.knowing += 1,
+                // Late (a fault kept it from stepping): check again when its
+                // remaining countdown could end.
+                Some(steps) => self.checks.push(Reverse((round + steps, v))),
+                None => unreachable!("a started countdown stays predictable"),
+            }
+        }
+        if self.common_knowledge.is_none() && self.knowing == n {
             self.common_knowledge = Some(round);
         }
         self.completion.is_some() && self.common_knowledge.is_some()

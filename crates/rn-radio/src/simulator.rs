@@ -92,6 +92,12 @@
 //! three-engine equivalence matrix in `tests/engine_equivalence.rs` pins
 //! the rest.
 //!
+//! A round after which every node is due again (every hint 0, as in the
+//! hint-less protocols) gains nothing from the wake queue, so the engine
+//! then runs the transmitter-centric round for the next 64 rounds,
+//! bookkeeping-free, and re-reads every hint with one event round that
+//! drives all `n` nodes at the end of the span.
+//!
 //! # Receivers: the observer hook
 //!
 //! Protocol state changes only in `step` (driven nodes) and `receive`; in
@@ -177,6 +183,10 @@ struct EventState {
     /// Dormant nodes marked by this round's transmitters (tracing off
     /// only): the complete set of wake-by-reception candidates.
     touched: Vec<NodeId>,
+    /// Rounds left in a dense span: while positive, rounds run on the
+    /// transmitter-centric engine and the queues above lie idle, with
+    /// `due_next` still holding every node. See [`DENSE_SPAN`].
+    dense_left: u64,
 }
 
 impl EventState {
@@ -209,6 +219,14 @@ impl EventState {
 /// `EventState::next_wake` of a node on the current round's due list. Real
 /// wake rounds are at least 1, so it never collides with one.
 const DRIVEN: u64 = 0;
+
+/// Length of a dense span: once an event round leaves every node due in the
+/// next round, that many rounds (the last one an event round driving every
+/// node, which re-reads all hints) run without wake-queue bookkeeping.
+/// Stepping a dormant node is a no-op under the wake-hint contract, so a
+/// dense span changes no outcome; it only postpones elision by at most this
+/// many rounds when a dense protocol goes quiet.
+const DENSE_SPAN: u64 = 64;
 
 /// The round a node driven in `round` with dormancy hint `hint` must next
 /// be driven in (`u64::MAX` = parked until a reception wakes it).
@@ -892,6 +910,7 @@ impl<N: RadioNode> Simulator<N> {
             due_next_round: base + 1,
             due_next_sorted: true,
             touched: Vec::new(),
+            dense_left: 0,
         };
         for v in 0..n {
             let wake = faults.map_or(1, |f| f.wake_round(v)).max(base + 1);
@@ -919,6 +938,19 @@ impl<N: RadioNode> Simulator<N> {
     fn step_round_event_driven(&mut self) -> usize {
         if self.event.is_none() {
             self.init_event_state();
+        }
+        let st = self.event.as_mut().expect("seeded above");
+        if st.dense_left > 0 {
+            st.dense_left -= 1;
+            if st.dense_left > 0 {
+                return self.step_round_transmitter_centric();
+            }
+            // End of the span: every node is due in this event round.
+            let next = self.round + 1;
+            st.due_next_round = next;
+            for &v in &st.due_next {
+                st.next_wake[v] = next;
+            }
         }
         self.round += 1;
         let round = self.round;
@@ -1237,6 +1269,13 @@ impl<N: RadioNode> Simulator<N> {
                 node_steps,
             });
         }
+        // Every node due next round: start a dense span. Every heap entry is
+        // stale then (each node waits for the next round).
+        let st = self.event.as_mut().expect("seeded above");
+        if st.due_next_round == round + 1 && st.due_next.len() == n {
+            st.dense_left = DENSE_SPAN;
+            st.heap.clear();
+        }
         transmitter_count
     }
 
@@ -1254,7 +1293,7 @@ impl<N: RadioNode> Simulator<N> {
         let Some(st) = self.event.as_mut() else {
             return 0;
         };
-        if st.due_next_round == round + 1 && !st.due_next.is_empty() {
+        if st.dense_left > 0 || (st.due_next_round == round + 1 && !st.due_next.is_empty()) {
             return 0;
         }
         let mut next = u64::MAX;
@@ -1998,6 +2037,91 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(event.trace().rounds, fast.trace().rounds);
         assert_eq!(event.trace().len() as u64, a.rounds_executed);
+    }
+
+    /// A hint-less stretch followed by dormancy: for its first `busy` steps
+    /// node `v` reports hint 0 and transmits its step count whenever that
+    /// count is `v` modulo n (a collision-free round robin), then listens
+    /// with hint `u64::MAX` forever.
+    struct Busy {
+        v: u64,
+        n: u64,
+        busy: u64,
+        steps: u64,
+        heard: Vec<u64>,
+    }
+
+    impl RadioNode for Busy {
+        type Msg = u64;
+        fn step(&mut self) -> Action<u64> {
+            self.steps += 1;
+            if self.steps <= self.busy && self.steps % self.n == self.v {
+                Action::Transmit(self.steps)
+            } else {
+                Action::Listen
+            }
+        }
+        fn receive(&mut self, heard: Option<&u64>) {
+            if let Some(m) = heard {
+                self.heard.push(*m);
+            }
+        }
+        fn wake_hint(&self) -> u64 {
+            if self.steps < self.busy {
+                0
+            } else {
+                u64::MAX
+            }
+        }
+    }
+
+    #[test]
+    fn dense_spans_match_per_round_driving_and_hand_back_to_elision() {
+        // Busy for three dense spans' worth of rounds, so the event engine
+        // crosses span boundaries mid-activity and must resume elision once
+        // the re-read hints come back dormant.
+        let g = generators::cycle(5);
+        let busy = 3 * DENSE_SPAN + 7;
+        let run = |engine: Engine| {
+            let nodes: Vec<Busy> = (0..5)
+                .map(|v| Busy {
+                    v,
+                    n: 5,
+                    busy,
+                    steps: 0,
+                    heard: Vec::new(),
+                })
+                .collect();
+            let mut sim = Simulator::new(g.clone(), nodes)
+                .with_engine(engine)
+                .without_trace()
+                .with_metrics(Box::new(crate::CounterSink::new()));
+            let outcome = sim.run_until(
+                StopCondition::QuietFor {
+                    quiet: 500,
+                    cap: 10_000,
+                },
+                |_| false,
+            );
+            let heard: Vec<Vec<u64>> = sim.nodes().iter().map(|b| b.heard.clone()).collect();
+            (
+                outcome,
+                heard,
+                sim.metrics_counters().expect("sink installed"),
+            )
+        };
+        let (tx_outcome, tx_heard, tx) = run(Engine::TransmitterCentric);
+        let (ev_outcome, ev_heard, ev) = run(Engine::EventDriven);
+        assert_eq!(ev_outcome, tx_outcome);
+        assert_eq!(ev_heard, tx_heard);
+        assert_eq!(ev.deliveries, tx.deliveries);
+        assert_eq!(ev.transmissions, tx.transmissions);
+        assert_eq!(tx.elided_rounds, 0);
+        assert!(
+            ev.elided_rounds > 0,
+            "elision resumes after the dense spans"
+        );
+        assert!(ev.node_steps < tx.node_steps);
     }
 
     #[test]

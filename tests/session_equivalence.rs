@@ -23,7 +23,9 @@ use radio_labeling::graph::{generators, Graph};
 use radio_labeling::labeling::{
     baselines, gossip, lambda, lambda_ack, lambda_arb, multi, onebit, Labeling,
 };
-use radio_labeling::radio::{ExecutionStats, FaultPlan, RadioNode, Simulator, StopCondition};
+use radio_labeling::radio::{
+    Engine, ExecutionStats, FaultPlan, RadioNode, Simulator, StopCondition,
+};
 use std::sync::Arc;
 
 const MSG: u64 = 42;
@@ -327,7 +329,9 @@ fn explicit_policies_compose_with_every_scheme() {
 }
 
 /// Round by round over a bare simulator with `plan`, the full-scan
-/// bookkeeping the session's receiver-driven observers replace: every
+/// bookkeeping the session's receiver-driven observers replace. The
+/// listener-centric engine executes every round, so the scan sees each one
+/// (the event-driven default skips quiet rounds). Records every
 /// node's first round satisfying `informed` (0 if it starts so) and, for
 /// each of the `measures` predicates `holds(node, i)`, the first executed
 /// round in which it holds for every node. `done` (given those rounds)
@@ -347,6 +351,7 @@ fn full_scan<N: RadioNode>(
         nodes.iter().map(|v| informed(v).then_some(0)).collect();
     let mut reached = vec![None; measures];
     let mut sim = Simulator::new(g.clone(), nodes)
+        .with_engine(Engine::ListenerCentric)
         .with_faults(plan)
         .without_trace();
     let outcome = sim.run_until(stop, |s| {
