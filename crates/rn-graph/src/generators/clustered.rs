@@ -9,6 +9,7 @@
 //!   degree never exceeds a cap Δ, the bounded-degree regime in which the
 //!   paper's `O(n)` round bounds are tight up to constants.
 
+use super::pairs::{sample_pairs, RowShape};
 use crate::algorithms::connectivity::{connecting_edges, is_connected};
 use crate::error::GraphError;
 use crate::graph::{Graph, GraphBuilder};
@@ -24,6 +25,10 @@ use rand::SeedableRng;
 ///
 /// Node numbering is by cluster: cluster `c` occupies a contiguous index
 /// range, with the first `n % clusters` clusters holding one extra node.
+///
+/// The pairs are sampled like [`gnp_connected`](super::gnp_connected)'s,
+/// with a per-pair probability, so the graph is the same at every thread
+/// count.
 ///
 /// Returns an error if `n == 0`, `clusters == 0`, `clusters > n`, or either
 /// probability is outside `[0, 1]`.
@@ -48,33 +53,32 @@ pub fn clustered_gnp(
             });
         }
     }
-    // Cluster of node v, for contiguous near-equal groups.
+    // Contiguous near-equal groups: the first `extra` clusters have
+    // `base + 1` nodes. A pair i < j shares a cluster iff j lies below the
+    // start of the cluster after i's.
     let base = n / clusters;
     let extra = n % clusters;
+    let boundary = extra * (base + 1);
+    let cluster_start = |c: usize| {
+        if c <= extra {
+            c * (base + 1)
+        } else {
+            boundary + (c - extra) * base
+        }
+    };
     let cluster_of = |v: usize| {
-        // The first `extra` clusters have `base + 1` nodes.
-        let boundary = extra * (base + 1);
         if v < boundary {
             v / (base + 1)
         } else {
-            extra + (v - boundary) / base.max(1)
+            extra + (v - boundary) / base
         }
     };
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new(n);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let p = if cluster_of(i) == cluster_of(j) {
-                p_in
-            } else {
-                p_out
-            };
-            if rng.gen_bool(p) {
-                b.add_edge(i, j).expect("fresh pair");
-            }
-        }
-    }
-    let g = b.try_build()?;
+    let row = |i| RowShape {
+        first: i + 1,
+        split: cluster_start(cluster_of(i) + 1),
+        end: n,
+    };
+    let g = sample_pairs(n, seed, n, row, p_in, p_out)?;
     if is_connected(&g) {
         Ok(g)
     } else {

@@ -279,6 +279,13 @@ impl TopologyFamily {
     /// surfaces as [`GraphError::NotConnected`] instead of a wrong
     /// measurement.
     ///
+    /// The per-pair families (`gnp`, `gnp_avg_degree`, `clustered_gnp`)
+    /// split their coin flips across threads once the pair stream reaches
+    /// twice 2²³ draws (n ≥ 5794), each block from the seeded generator
+    /// jumped ahead to it (see [`gnp_connected`](super::gnp_connected)).
+    /// The result is the same graph at every thread count: `RN_THREADS`,
+    /// like the machine's core count, changes only the wall time.
+    ///
     /// Returns an error for degenerate sizes (`n < 4`) or invalid family
     /// parameters.
     pub fn generate(&self, n: usize, seed: u64) -> Result<Graph, GraphError> {

@@ -35,6 +35,11 @@ pub struct UnitDiskInstance {
 /// and if the result is disconnected the components are linked by one repair
 /// edge each (count reported in the instance).
 ///
+/// Candidate pairs come from a grid of cells of side at least `radius`:
+/// each point is tested only against the later points of its own and the
+/// eight adjacent cells, `O(n + m)` expected work for uniform points. The
+/// distance test is the all-pairs one, so the graph is identical.
+///
 /// Returns an error if `n == 0` or `radius` is not in `(0, √2]`.
 pub fn unit_disk(n: usize, radius: f64, seed: u64) -> Result<UnitDiskInstance, GraphError> {
     if n == 0 {
@@ -51,17 +56,51 @@ pub fn unit_disk(n: usize, radius: f64, seed: u64) -> Result<UnitDiskInstance, G
     let positions: Vec<(f64, f64)> = (0..n)
         .map(|_| (rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)))
         .collect();
+    // Bucket the points into a k × k grid of cells no narrower than the
+    // radius, so every pair within reach lies in the same or adjacent
+    // cells. The 1e-9 margin keeps a cell wider than the radius by far
+    // more than the rounding of `x * k` or of the distance test; k is
+    // capped near √n, past which cells would be mostly empty.
+    let k = ((1.0 - 1e-9) / radius)
+        .floor()
+        .clamp(1.0, (n as f64).sqrt().ceil() + 1.0) as usize;
+    let cell_of = |x: f64| ((x * k as f64) as usize).min(k - 1);
+    let cell = |(x, y): (f64, f64)| cell_of(y) * k + cell_of(x);
+    // Counting sort by cell: `members[start[c]..start[c + 1]]` are the
+    // points of cell c, in increasing id order.
+    let mut start = vec![0usize; k * k + 1];
+    for &p in &positions {
+        start[cell(p) + 1] += 1;
+    }
+    for c in 0..k * k {
+        start[c + 1] += start[c];
+    }
+    let mut members = vec![0usize; n];
+    let mut fill = start.clone();
+    for (i, &p) in positions.iter().enumerate() {
+        members[fill[cell(p)]] = i;
+        fill[cell(p)] += 1;
+    }
+
     let mut b = GraphBuilder::new(n);
     let r2 = radius * radius;
     for i in 0..n {
-        for j in (i + 1)..n {
-            let dx = positions[i].0 - positions[j].0;
-            let dy = positions[i].1 - positions[j].1;
-            if dx * dx + dy * dy <= r2 {
-                b.add_edge(i, j).expect("fresh pair");
+        let (cx, cy) = (cell_of(positions[i].0), cell_of(positions[i].1));
+        for y in cy.saturating_sub(1)..=(cy + 1).min(k - 1) {
+            for x in cx.saturating_sub(1)..=(cx + 1).min(k - 1) {
+                let c = y * k + x;
+                for &j in members[start[c]..start[c + 1]].iter().filter(|&&j| j > i) {
+                    let dx = positions[i].0 - positions[j].0;
+                    let dy = positions[i].1 - positions[j].1;
+                    if dx * dx + dy * dy <= r2 {
+                        b.add_edge(i, j).expect("fresh pair");
+                    }
+                }
             }
         }
     }
+    // Rows are sorted on build, so the graph is the one the all-pairs test
+    // (every i < j in order) gives.
     let g = b.try_build()?;
     let (graph, repair_edges) = if is_connected(&g) {
         (g, 0)

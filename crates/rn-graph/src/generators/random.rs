@@ -4,6 +4,7 @@
 //! All generators take an explicit seed and are fully deterministic for a
 //! given seed, which keeps every experiment reproducible.
 
+use super::pairs::{sample_pairs, RowShape};
 use crate::algorithms::connectivity::{connecting_edges, is_connected};
 use crate::error::GraphError;
 use crate::graph::{Graph, GraphBuilder};
@@ -15,6 +16,15 @@ use rand::SeedableRng;
 /// with probability `p`; if the sample is disconnected it is repaired by
 /// adding one edge from the first component to each other component (the
 /// minimum augmentation), so the result is always connected.
+///
+/// The coins are one `gen_bool(p)` per pair `i < j` in row-major order from
+/// `StdRng::seed_from_u64(seed)`. Streams of at least twice 2²³ draws
+/// (`n ≥ 5794`) are cut into blocks sampled in parallel, each from the
+/// generator jumped ahead to its first draw, on up to
+/// [`default_threads_for`](crate::parallel::default_threads_for) threads
+/// (`RN_THREADS` overrides). The hits are those of the sequential stream,
+/// so the graph is the same at every thread count. The work is still one
+/// draw per pair, `Θ(n²)`.
 ///
 /// Returns an error if `n == 0` or `p` is not in `[0, 1]`.
 pub fn gnp_connected(n: usize, p: f64, seed: u64) -> Result<Graph, GraphError> {
@@ -28,16 +38,12 @@ pub fn gnp_connected(n: usize, p: f64, seed: u64) -> Result<Graph, GraphError> {
             reason: format!("gnp_connected requires p in [0, 1], got {p}"),
         });
     }
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new(n);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if rng.gen_bool(p) {
-                b.add_edge(i, j).expect("fresh pair");
-            }
-        }
-    }
-    let g = b.try_build()?;
+    let row = |i| RowShape {
+        first: i + 1,
+        split: n,
+        end: n,
+    };
+    let g = sample_pairs(n, seed, n, row, p, p)?;
     if is_connected(&g) {
         Ok(g)
     } else {
@@ -47,7 +53,9 @@ pub fn gnp_connected(n: usize, p: f64, seed: u64) -> Result<Graph, GraphError> {
 }
 
 /// Connected random bipartite graph with sides of size `a` and `b`: each
-/// cross pair is an edge with probability `p`, then the graph is repaired to
+/// cross pair is an edge with probability `p` (sampled like
+/// [`gnp_connected`]'s pairs, row `i` of the `a × b` grid at a time, and
+/// equally independent of the thread count), then the graph is repaired to
 /// be connected by adding cross edges between components (never edges inside
 /// a side, so bipartiteness is preserved).
 pub fn random_bipartite_connected(
@@ -66,16 +74,12 @@ pub fn random_bipartite_connected(
             reason: format!("random_bipartite_connected requires p in [0, 1], got {p}"),
         });
     }
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut builder = GraphBuilder::new(a + b);
-    for i in 0..a {
-        for j in 0..b {
-            if rng.gen_bool(p) {
-                builder.add_edge(i, a + j).expect("fresh cross pair");
-            }
-        }
-    }
-    let mut g = builder.try_build()?;
+    let row = |_| RowShape {
+        first: a,
+        split: a + b,
+        end: a + b,
+    };
+    let mut g = sample_pairs(a + b, seed, a, row, p, p)?;
     // Repair connectivity while preserving bipartiteness: attach every
     // component to component 0 via a cross edge.
     while !is_connected(&g) {

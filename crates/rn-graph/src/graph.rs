@@ -83,6 +83,49 @@ impl Graph {
         b.try_build()
     }
 
+    /// Packs the graph on `n` nodes whose edges `(u, v)`, `u < v < n`, the
+    /// calls to `edges` each list in increasing order, straight into CSR
+    /// form (one pass to count, one to fill). Row `v` then receives its
+    /// smaller neighbours before its larger ones, each in increasing order,
+    /// so no row needs sorting.
+    ///
+    /// Returns [`GraphError::TooLarge`] if the total degree exceeds
+    /// `u32::MAX`, like [`GraphBuilder::try_build`].
+    pub(crate) fn from_ascending_edges<E, I>(n: usize, edges: E) -> Result<Self, GraphError>
+    where
+        E: Fn() -> I,
+        I: Iterator<Item = (NodeId, NodeId)>,
+    {
+        let mut offsets = vec![0u32; n + 1];
+        let mut edge_count = 0usize;
+        for (u, v) in edges() {
+            debug_assert!(u < v && v < n, "edge ({u}, {v}) is not ascending");
+            offsets[u + 1] += 1;
+            offsets[v + 1] += 1;
+            edge_count += 1;
+        }
+        let total_degree = 2 * edge_count;
+        if u32::try_from(total_degree).is_err() {
+            return Err(GraphError::TooLarge { total_degree });
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut next = offsets[..n].to_vec();
+        let mut neighbors = vec![0; total_degree];
+        for (u, v) in edges() {
+            neighbors[next[u] as usize] = v;
+            next[u] += 1;
+            neighbors[next[v] as usize] = u;
+            next[v] += 1;
+        }
+        Ok(Graph {
+            neighbors,
+            offsets,
+            edge_count,
+        })
+    }
+
     /// Number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
@@ -157,10 +200,38 @@ impl Graph {
     /// Returns a new graph with the same nodes and the given extra edges.
     ///
     /// Used by generators that augment a random graph to make it connected.
+    /// Rejects the first extra edge that is out of range, a self-loop, or
+    /// already present (in this graph or earlier in `extra`), as adding the
+    /// edges one by one to a [`GraphBuilder`] would. The extra edges are
+    /// merged into this graph's ascending edge list on the way into the new
+    /// CSR arrays, so no edge list or adjacency lists are built.
     pub fn with_extra_edges(&self, extra: &[(NodeId, NodeId)]) -> Result<Self, GraphError> {
-        let mut all: Vec<(NodeId, NodeId)> = self.edges().collect();
-        all.extend_from_slice(extra);
-        Graph::from_edges(self.node_count(), &all)
+        let n = self.node_count();
+        let mut seen = std::collections::HashSet::with_capacity(extra.len());
+        for &(u, v) in extra {
+            if let Some(node) = [u, v].into_iter().find(|&w| w >= n) {
+                return Err(GraphError::NodeOutOfRange {
+                    node,
+                    node_count: n,
+                });
+            }
+            if u == v {
+                return Err(GraphError::SelfLoop { node: u });
+            }
+            if self.has_edge(u, v) || !seen.insert((u.min(v), u.max(v))) {
+                return Err(GraphError::DuplicateEdge { u, v });
+            }
+        }
+        let mut added: Vec<(NodeId, NodeId)> = seen.into_iter().collect();
+        added.sort_unstable();
+        Graph::from_ascending_edges(n, || {
+            let (mut old, mut new) = (self.edges().peekable(), added.iter().copied().peekable());
+            std::iter::from_fn(move || match (old.peek(), new.peek()) {
+                (Some(a), Some(b)) if b < a => new.next(),
+                (Some(_), _) => old.next(),
+                (None, _) => new.next(),
+            })
+        })
     }
 
     /// Returns the graph induced by the given set of nodes, together with the
@@ -555,6 +626,37 @@ mod tests {
     fn with_extra_edges_rejects_duplicates() {
         let g = Graph::from_edges(4, &[(0, 1)]).unwrap();
         assert!(g.with_extra_edges(&[(0, 1)]).is_err());
+    }
+
+    #[test]
+    fn with_extra_edges_matches_building_from_all_edges() {
+        // Every way to add edges to a small graph, against a fresh build
+        // from the combined list: same graph, or the same error.
+        let base = [(0, 3), (1, 2), (3, 5), (2, 5)];
+        let g = Graph::from_edges(6, &base).unwrap();
+        let candidates = [
+            (0, 1),
+            (5, 4),
+            (4, 0),
+            (1, 2),
+            (3, 3),
+            (0, 6),
+            (2, 0),
+            (4, 5),
+        ];
+        for mask in 0u32..1 << candidates.len() {
+            let extra: Vec<(NodeId, NodeId)> = (0..candidates.len())
+                .filter(|&i| mask >> i & 1 == 1)
+                .map(|i| candidates[i])
+                .collect();
+            let mut all = base.to_vec();
+            all.extend_from_slice(&extra);
+            assert_eq!(
+                g.with_extra_edges(&extra),
+                Graph::from_edges(6, &all),
+                "extra = {extra:?}"
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!   connected G(n,p), series-parallel graphs, ...),
 //! * the graph [`algorithms`] the labeling schemes need: BFS layerings,
 //!   eccentricities, dominating-set minimisation, greedy colourings of the
-//!   square of a graph, connectivity and structure recognition.
+//!   square of a graph, connectivity and structure recognition,
+//! * the workspace's one [`parallel`] executor and thread policy, shared
+//!   by the random generators, the simulator's batches and the sweeps.
 //!
 //! All algorithms are deterministic (random generators take explicit seeds)
 //! so every experiment in the repository is exactly reproducible.
@@ -40,6 +42,7 @@ pub mod enumerate;
 pub mod error;
 pub mod generators;
 pub mod graph;
+pub mod parallel;
 
 pub use error::GraphError;
 pub use graph::{Graph, GraphBuilder, NodeId};

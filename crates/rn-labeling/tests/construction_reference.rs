@@ -9,7 +9,8 @@
 //! incremental `SequenceConstruction::build`: every stage's sets, ℓ, the
 //! per-node point queries and the λ, λ_ack, λ_arb, multi_lambda and gossip
 //! labelings must match it exactly over every registry preset, a range of
-//! sizes, seeds and sources, in each reduction order (one test per order).
+//! sizes, seeds and sources, in each reduction order (one test per order),
+//! and over every connected graph on up to 8 nodes from every source.
 
 use rand::{Rng, SeedableRng};
 use rn_graph::algorithms::{self, ReductionOrder};
@@ -328,13 +329,30 @@ fn assert_same_construction(
     }
 }
 
+/// Every connected graph on 1 to 8 nodes up to isomorphism — the
+/// rn-modelcheck enumeration — from every source.
+fn enumerated_instances() -> Vec<(String, Graph, NodeId)> {
+    let mut out = Vec::new();
+    for n in 1..=8 {
+        for (k, g) in connected_graphs(n).into_iter().enumerate() {
+            for source in g.nodes() {
+                out.push((
+                    format!("connected graph #{k} n={n} source={source}"),
+                    g.clone(),
+                    source,
+                ));
+            }
+        }
+    }
+    out
+}
+
 /// Diffs the construction and the λ, λ_ack and λ_arb labelings (and, for
 /// the forward order, multi_lambda and gossip) against the reference on
 /// every instance, reducing in `order`. Returns how many instances were
 /// compared.
-fn check_paper_schemes(order: ReductionOrder) -> usize {
-    let instances = instances();
-    for (what, g, source) in &instances {
+fn check_paper_schemes(instances: &[(String, Graph, NodeId)], order: ReductionOrder) -> usize {
+    for (what, g, source) in instances {
         let source = *source;
         let what = format!("{what} {order:?}");
         let r = reference::build(g, source, order);
@@ -381,17 +399,39 @@ const MIN_INSTANCES: usize = TopologyFamily::PRESETS.len() * 6 * SEEDS.len();
 
 #[test]
 fn forward_order_matches_the_reference_for_all_five_schemes() {
-    assert!(check_paper_schemes(ReductionOrder::Forward) >= MIN_INSTANCES);
+    assert!(check_paper_schemes(&instances(), ReductionOrder::Forward) >= MIN_INSTANCES);
 }
 
 #[test]
 fn reverse_order_matches_the_reference() {
-    assert!(check_paper_schemes(ReductionOrder::Reverse) >= MIN_INSTANCES);
+    assert!(check_paper_schemes(&instances(), ReductionOrder::Reverse) >= MIN_INSTANCES);
 }
 
 #[test]
 fn random_order_matches_the_reference() {
-    assert!(check_paper_schemes(ReductionOrder::Random(7)) >= MIN_INSTANCES);
+    assert!(check_paper_schemes(&instances(), ReductionOrder::Random(7)) >= MIN_INSTANCES);
+}
+
+/// Connected graphs on n = 1…8 nodes up to isomorphism (OEIS A001349),
+/// each from its n sources.
+const ENUMERATED_INSTANCES: usize = 1 + 2 + 2 * 3 + 6 * 4 + 21 * 5 + 112 * 6 + 853 * 7 + 11_117 * 8;
+
+#[test]
+fn forward_order_matches_the_reference_on_every_graph_up_to_eight_nodes() {
+    let compared = check_paper_schemes(&enumerated_instances(), ReductionOrder::Forward);
+    assert_eq!(compared, ENUMERATED_INSTANCES);
+}
+
+#[test]
+fn reverse_order_matches_the_reference_on_every_graph_up_to_eight_nodes() {
+    let compared = check_paper_schemes(&enumerated_instances(), ReductionOrder::Reverse);
+    assert_eq!(compared, ENUMERATED_INSTANCES);
+}
+
+#[test]
+fn random_order_matches_the_reference_on_every_graph_up_to_eight_nodes() {
+    let compared = check_paper_schemes(&enumerated_instances(), ReductionOrder::Random(7));
+    assert_eq!(compared, ENUMERATED_INSTANCES);
 }
 
 #[test]

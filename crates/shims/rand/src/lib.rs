@@ -10,6 +10,12 @@
 //! * [`Rng::gen_bool`],
 //! * [`seq::SliceRandom::shuffle`] / [`seq::SliceRandom::choose`].
 //!
+//! One method goes beyond that surface: [`rngs::StdRng::jump`] advances the
+//! generator by any number of draws in `O(log draws)`, so a long stream can
+//! be cut into blocks that are sampled in parallel and still give exactly
+//! the sequential result. Upstream's counterpart is seeking a ChaCha
+//! generator's word position (`set_word_pos`).
+//!
 //! Streams differ from the real `rand` crate (which draws from ChaCha12), but
 //! everything in this repository treats seeds as opaque reproducibility
 //! tokens, so only determinism matters: the same seed always yields the same
@@ -135,6 +141,107 @@ pub mod rngs {
         }
     }
 
+    /// The low 256 coefficients of the characteristic polynomial
+    /// `P(x) = x^256 + …` of xoshiro256**'s linear state map over GF(2),
+    /// least significant word first (coefficient `i` is bit `i % 64` of
+    /// word `i / 64`).
+    const CHAR_POLY: [u64; 4] = [
+        0x9d11_6f2b_b0f0_f001,
+        0x0280_002b_cefd_1a5e,
+        0x04b4_edcf_2625_9f85,
+        0x0003_c03c_3f3e_cb19,
+    ];
+
+    /// A polynomial of degree below 256 over GF(2), in the layout of
+    /// [`CHAR_POLY`].
+    type Poly = [u64; 4];
+
+    /// `a · x mod P`.
+    fn times_x(a: Poly) -> Poly {
+        let carry = a[3] >> 63;
+        let mut r = [
+            a[0] << 1,
+            (a[1] << 1) | (a[0] >> 63),
+            (a[2] << 1) | (a[1] >> 63),
+            (a[3] << 1) | (a[2] >> 63),
+        ];
+        if carry == 1 {
+            for (w, p) in r.iter_mut().zip(CHAR_POLY) {
+                *w ^= p;
+            }
+        }
+        r
+    }
+
+    /// `a · b mod P`, by Horner's rule over the bits of `b`.
+    fn mul_mod(a: Poly, b: Poly) -> Poly {
+        let mut r = [0u64; 4];
+        for bit in (0..256).rev() {
+            r = times_x(r);
+            if (b[bit / 64] >> (bit % 64)) & 1 == 1 {
+                for (w, x) in r.iter_mut().zip(a) {
+                    *w ^= x;
+                }
+            }
+        }
+        r
+    }
+
+    /// `x^k mod P`, by square-and-multiply from the top bit of `k`.
+    pub(crate) fn x_pow_mod(k: u64) -> Poly {
+        let mut r: Poly = [1, 0, 0, 0];
+        for bit in (0..64 - k.leading_zeros()).rev() {
+            r = mul_mod(r, r);
+            if (k >> bit) & 1 == 1 {
+                r = times_x(r);
+            }
+        }
+        r
+    }
+
+    /// `x^(2^doublings) mod P`, by repeated squaring of `x` (exponents past
+    /// `u64`, such as the published `JUMP` distance 2^128).
+    #[cfg(test)]
+    pub(crate) fn x_pow_pow2_mod(doublings: u32) -> Poly {
+        let mut r: Poly = [2, 0, 0, 0];
+        for _ in 0..doublings {
+            r = mul_mod(r, r);
+        }
+        r
+    }
+
+    impl StdRng {
+        /// Advances the generator by `draws` draws: afterwards it is in
+        /// exactly the state `draws` calls of [`RngCore::next_u64`] would
+        /// have left it in, reached in `O(log draws)` instead of
+        /// `O(draws)`.
+        ///
+        /// The state map `T` of xoshiro256** is linear over GF(2) with
+        /// characteristic polynomial `P`, so `T^draws = q(T)` for
+        /// `q = x^draws mod P`. The jump computes `q` by square-and-multiply
+        /// and then XOR-accumulates the states of 256 steps selected by
+        /// `q`'s coefficients — the loop of the published xoshiro `jump()`,
+        /// whose fixed `JUMP` constant is `x^(2^128) mod P`.
+        ///
+        /// Not part of `rand`'s API: upstream's `StdRng` (ChaCha12) offers
+        /// the same through `set_word_pos`.
+        pub fn jump(&mut self, draws: u64) {
+            let q = x_pow_mod(draws);
+            let mut acc = [0u64; 4];
+            for word in q {
+                for bit in 0..64 {
+                    if (word >> bit) & 1 == 1 {
+                        for (a, s) in acc.iter_mut().zip(self.s) {
+                            *a ^= s;
+                        }
+                    }
+                    self.next_u64();
+                }
+            }
+            self.s = acc;
+        }
+    }
+
     impl RngCore for StdRng {
         fn next_u64(&mut self) -> u64 {
             let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
@@ -250,6 +357,34 @@ mod tests {
         assert!(rng.gen_bool(1.0));
         let hits = (0..2000).filter(|_| rng.gen_bool(0.5)).count();
         assert!((700..1300).contains(&hits), "suspicious bias: {hits}");
+    }
+
+    // `jump(k)` against `k` steps is tested from the workspace root, in
+    // `tests/generator_oracles.rs`.
+    #[test]
+    fn jumps_compose() {
+        let mut once = rngs::StdRng::seed_from_u64(1);
+        once.jump(u64::MAX);
+        let mut twice = rngs::StdRng::seed_from_u64(1);
+        twice.jump(u64::MAX / 2);
+        twice.jump(u64::MAX / 2 + 1);
+        assert_eq!(once.next_u64(), twice.next_u64());
+    }
+
+    #[test]
+    fn characteristic_polynomial_reproduces_the_published_jump() {
+        // xoshiro256's `JUMP` constant is x^(2^128) mod P.
+        assert_eq!(
+            rngs::x_pow_pow2_mod(128),
+            [
+                0x180e_c6d3_3cfd_0aba,
+                0xd5a6_1266_f0c9_392c,
+                0xa958_2618_e03f_c9aa,
+                0x39ab_dc45_29b1_661c,
+            ]
+        );
+        // And the square-and-multiply path agrees with repeated squaring.
+        assert_eq!(rngs::x_pow_mod(1 << 63), rngs::x_pow_pow2_mod(63));
     }
 
     #[test]
